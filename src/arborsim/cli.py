@@ -38,7 +38,24 @@ class _Parser(argparse.ArgumentParser):
 def _seed(text: str) -> int:
     if text == "random":
         return int.from_bytes(os.urandom(8), "big") >> 1
-    return int(text)
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {text}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return value
 
 
 def _colours(text: str):
@@ -79,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"64-bit seed or 'random' (default {DEFAULT_SEED})")
     p.add_argument("--r-mode", choices=["exact", "heuristic", "auto"],
                    default="auto", help="rainbow decision mode (default auto)")
-    p.add_argument("--budget-ms", type=int, default=10000,
+    p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="per-decision budget in ms (default 10000)")
     p.add_argument("--undefined-as-last-step", action="store_true",
                    help="report undefined m_C/m_R as n(n-1) instead of NA")
@@ -91,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based root id or 'any' (default any)")
     p.add_argument("--mode", choices=["oracle", "exact", "heuristic", "auto"],
                    default="auto", help="decision procedure (default auto)")
-    p.add_argument("--budget-ms", type=int, default=10000,
+    p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="decision budget in ms (default 10000)")
 
     p = sub.add_parser("assign", help="injective vertex->colour assignment or witness")
@@ -101,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mapping", help="random mapping statistics")
     p.add_argument("--n", type=int, required=True, help="mapping size")
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_positive, default=100,
                    help="number of samples (default 100)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit seed or 'random' (default {DEFAULT_SEED})")
     p.add_argument("--loopless", action="store_true",
                    help="forbid fixed points")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive, default=os.cpu_count() or 1,
                    help="worker processes (default: available parallelism)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -115,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["theorem", "poisson", "coupon", "degree", "mapping"],
                    help="which experiment to run")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_positive, default=100,
                    help="trial count (default 100)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit master seed or 'random' (default {DEFAULT_SEED})")
@@ -123,13 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offset c in m = n(log n + c), poisson only (default 0)")
     p.add_argument("--r-mode", choices=["oracle", "exact", "heuristic", "auto"],
                    default="auto", help="rainbow decision mode, theorem only")
-    p.add_argument("--budget-ms", type=int, default=10000,
+    p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="per-decision budget in ms, theorem only (default 10000)")
-    p.add_argument("--subsets", type=int, default=50,
+    p.add_argument("--subsets", type=_positive, default=50,
                    help="colour subsets per trial, degree only (default 50)")
     p.add_argument("--loopless", action="store_true",
                    help="loopless mappings, mapping only")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive, default=os.cpu_count() or 1,
                    help="worker processes (default: available parallelism)")
     p.add_argument("--check", action="store_true",
                    help="exit 2 if a published threshold is violated")

@@ -6,18 +6,20 @@ Events on the m-edge prefix graph:
   A: a spanning arborescence exists,
   R: a rainbow spanning arborescence exists.
 
-C and Z are detected by a single streaming pass (each is a monotone counter
-crossing). A and R are monotone in m because a witness edge set persists
-under edge additions, so their hitting times come from binary search over
-prefix graphs. Z and A always happen; C and R can fail to ever happen, in
-which case their times are reported as undefined (None) rather than
-clamped to the last step.
+The prefix is streamed lazily, only as far as the search needs. C and Z are
+read where the counters of one forward-grown graph cross. A and R are
+monotone in m because a witness edge set persists under edge additions, so
+their hitting times come from galloping (exponential) search upward on that
+graph, then bisection of the last bracket on graphs rebuilt from the
+trace's cached prefix. Z and A always happen; C and R can fail to ever
+happen, in which case their times are reported as undefined (None) rather
+than clamped to the last step.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from itertools import islice
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.process import ProcessTrace
@@ -68,72 +70,95 @@ def _first_true(lo: int, hi: int, pred) -> int:
     return lo
 
 
+def gallop(lo: int, hi: int, pred) -> int | None:
+    """Least m in [lo, hi] with pred(m) true, or None if pred(hi) is false.
+
+    pred must be monotone. Exponential search (Bentley and Yao 1976): probe
+    lo, lo+1, lo+3, lo+7, ... (capped at hi) in increasing order until pred
+    holds, then bisect the last bracket. An answer at distance d above lo
+    costs O(log d) probes, and no probe lies beyond twice that distance.
+    """
+    last_false = lo - 1
+    m = lo
+    step = 1
+    while not pred(m):
+        if m == hi:
+            return None
+        last_false = m
+        m = min(hi, m + step)
+        step *= 2
+    return _first_true(last_false + 1, m, pred)
+
+
 def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
                   budget_s: float | None = 10.0) -> HittingTimes:
-    """Hitting times of all four events for one complete trace.
+    """Hitting times of all four events for one trace.
+
+    The prefix is streamed lazily: one graph grows forward along the trace
+    until both the Z counter and (if it ever can) the C counter cross, then
+    m_A and m_R come from galloping upward on that same graph, from m_Z and
+    from max(m_A, m_C), followed by bisection of the last bracket on graphs
+    rebuilt from the trace's cached prefix. The trace is drawn only as far
+    as the counters and the upward probes need.
 
     The budget applies per rainbow decision. In heuristic mode the tool
     only certifies whether R already holds at m_Z (one-sided decisions
-    cannot drive a sound binary search); m_r is then m_z on success and
-    unknown on failure.
+    cannot drive a sound search); m_r is then m_z on success and unknown
+    on failure.
     """
     if r_mode not in R_MODES:
         raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {R_MODES}")
     n = trace.n
     total = trace.total_edges
-    edges = trace.materialize()
-
     need_colours = n - 1
+    c_possible = trace.colour_count >= need_colours
+    g = ColouredDigraph(n, trace.colour_count)
+    edges = trace.edges()
+
     m_c: int | None = None
     m_z: int | None = None
-    seen_colour = bytearray(trace.colour_count)
-    distinct = 0
-    seen_head = bytearray(n)
-    heads = 0
-    for i, e in enumerate(edges):
-        if m_c is None and not seen_colour[e.colour]:
-            seen_colour[e.colour] = 1
-            distinct += 1
-            if distinct >= need_colours:
-                m_c = i + 1
-        if m_z is None and not seen_head[e.head]:
-            seen_head[e.head] = 1
-            heads += 1
-            if heads >= n - 1:
-                m_z = i + 1
-        if m_c is not None and m_z is not None:
+    for e in edges:
+        g.add_edge(e)
+        if m_c is None and g.distinct_colours >= need_colours:
+            m_c = len(g)
+        if m_z is None and g.zero_in_count <= 1:
+            m_z = len(g)
+        if m_z is not None and (m_c is not None or not c_possible):
             break
     assert m_z is not None  # n-1 distinct heads always occur by step N
 
-    def arb_at(m: int) -> bool:
-        return has_spanning_arborescence(trace.graph_at(m))[0]
+    def graph(m: int) -> ColouredDigraph:
+        """The prefix graph at m: g grown forward, or rebuilt below it."""
+        if m < len(g):
+            return trace.graph_at(m)
+        for e in islice(edges, m - len(g)):
+            g.add_edge(e)
+        return g
 
-    m_a = m_z if arb_at(m_z) else _first_true(m_z + 1, total, arb_at)
+    def arb_at(m: int) -> bool:
+        return has_spanning_arborescence(graph(m))[0]
+
+    m_a = gallop(m_z, total, arb_at)
+    assert m_a is not None  # the complete digraph has a spanning arborescence
 
     if m_c is None:
         # Fewer than n-1 colours ever appear, so R never happens either.
         return HittingTimes(None, m_z, m_a, None, "exact")
 
     if r_mode == "heuristic":
-        result = decide(trace.graph_at(m_z), mode="heuristic")
+        result = decide(graph(m_z), mode="heuristic")
         if result.outcome == "found":
             return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified")
         return HittingTimes(m_c, m_z, m_a, None, "unknown")
 
     def rainbow_at(m: int) -> bool:
-        result = decide(trace.graph_at(m), mode=r_mode, budget_s=budget_s)
+        result = decide(graph(m), mode=r_mode, budget_s=budget_s)
         if result.outcome == "unknown":
             raise BudgetExceededError("rainbow decision budget exhausted")
         return result.outcome == "found"
 
-    lo = max(m_a, m_c)
     try:
-        if rainbow_at(lo):
-            m_r: int | None = lo
-        elif not rainbow_at(total):
-            m_r = None
-        else:
-            m_r = _first_true(lo + 1, total, rainbow_at)
+        m_r = gallop(max(m_a, m_c), total, rainbow_at)
     except BudgetExceededError:
         return HittingTimes(m_c, m_z, m_a, None, "unknown")
     return HittingTimes(m_c, m_z, m_a, m_r, "exact")

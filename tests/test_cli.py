@@ -56,6 +56,51 @@ def test_usage_error_exits_1():
     assert code == 1
 
 
+def assert_usage_error(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+def test_zero_trials_is_usage_error():
+    for kind in ("theorem", "poisson", "coupon", "mapping"):
+        assert_usage_error(["experiment", kind, "--n", "20", "--trials", "0",
+                            "--threads", "1", "--check"], "--trials")
+    assert_usage_error(["mapping", "--n", "20", "--samples", "0"], "--samples")
+
+
+def test_zero_subsets_is_usage_error():
+    assert_usage_error(["experiment", "degree", "--n", "100", "--trials", "1",
+                        "--subsets", "0", "--threads", "1"], "--subsets")
+
+
+def test_zero_threads_is_usage_error():
+    assert_usage_error(["experiment", "coupon", "--n", "20", "--trials", "2",
+                        "--threads", "0"], "--threads")
+    assert_usage_error(["mapping", "--n", "20", "--threads", "0"], "--threads")
+
+
+def test_negative_budget_is_usage_error():
+    assert_usage_error(["hitting-times", "--n", "5", "--budget-ms", "-1"], "--budget-ms")
+    assert_usage_error(["experiment", "theorem", "--n", "5", "--trials", "1",
+                        "--budget-ms", "-5"], "--budget-ms")
+
+
+def test_seed_outside_64_bits_is_usage_error():
+    for seed in ("-1", str(2**64)):
+        assert_usage_error(["hitting-times", "--n", "5", "--seed", seed], "--seed")
+        assert_usage_error(["simulate", "--n", "3", "--seed", seed], "--seed")
+    code, out, _ = run_cli(["hitting-times", "--n", "2", "--seed", str(2**64 - 1)])
+    assert code == 0 and f",{2**64 - 1}," in out
+
+
+def test_theorem_check_at_n1000():
+    code, out, err = run_cli(["experiment", "theorem", "--n", "1000", "--trials", "3",
+                              "--threads", "1", "--check"])
+    assert code == 0, err
+    assert "# summary.unknown_count=0" in out
+
+
 def test_io_error_exits_3(tmp_path):
     code, _, err = run_cli(["decide", "--input", str(tmp_path / "missing.txt")])
     assert code == 3 and "cannot read" in err

@@ -4,8 +4,8 @@ import pathlib
 import pytest
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
-from arborsim.hitting import event_holds, hitting_times
-from arborsim.process import ProcessConfig, generate_trace
+from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
+from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
 from arborsim.rainbow import brute_force_oracle
 from arborsim.rng import SplitMix64, derive_trial_seed
 from helpers import graph_from_edges
@@ -30,6 +30,19 @@ def linear_scan_hitting_times(trace):
         if m_r is None and brute_force_oracle(g) is not None:
             m_r = m
     return m_c, m_z, m_a, m_r
+
+
+def event_scan_hitting_times(config, mode):
+    """Reference implementation: the first prefix on which each event holds,
+    found by asking event_holds on every prefix of a fresh trace."""
+    first = dict.fromkeys("CZAR")
+    g = ColouredDigraph(config.n, config.resolved_colour_count)
+    for m, e in enumerate(ProcessTrace(config).materialize(), start=1):
+        g.add_edge(e)
+        for event in "CZAR":
+            if first[event] is None and event_holds(g, event, mode=mode, budget_s=None):
+                first[event] = m
+    return HittingTimes(first["C"], first["Z"], first["A"], first["R"], "exact")
 
 
 def test_event_holds_examples():
@@ -71,6 +84,50 @@ def test_bisection_equals_linear_scan():
         trace = generate_trace(ProcessConfig(n, w, rng.next_u64()))
         ht = hitting_times(trace, r_mode="oracle")
         assert (ht.m_c, ht.m_z, ht.m_a, ht.m_r) == linear_scan_hitting_times(trace)
+
+
+def test_search_equals_event_scan_in_every_two_sided_mode():
+    rng = SplitMix64(7272)
+    configs = []
+    for _ in range(80):
+        n = 2 + rng.below(6)  # n in [2, 7]
+        configs.append(ProcessConfig(n, 1 + rng.below(2 * n), rng.next_u64()))
+    # C after Z, with R never happening even on the complete digraph
+    configs += [ProcessConfig(4, 3, 1485), ProcessConfig(4, 3, 5555),
+                ProcessConfig(4, 3, 2103)]
+    for config in configs:
+        for mode in ("exact", "auto", "oracle"):
+            ht = hitting_times(ProcessTrace(config), r_mode=mode, budget_s=None)
+            assert ht == event_scan_hitting_times(config, mode), (config, mode)
+
+
+def test_gallop_finds_least_true_with_few_nearby_probes():
+    for lo, hi in ((0, 0), (5, 5), (3, 4), (1, 40), (7, 200)):
+        for threshold in range(lo, hi + 2):
+            probes = []
+
+            def pred(m):
+                probes.append(m)
+                return m >= threshold
+
+            expected = threshold if threshold <= hi else None
+            assert gallop(lo, hi, pred) == expected
+            assert all(lo <= m <= hi for m in probes)
+            distance = min(threshold, hi) - lo
+            # upward probes stop within twice the distance to the answer
+            assert max(probes) <= lo + 2 * distance
+            assert len(probes) <= 2 * distance.bit_length() + 2
+            if distance == 0:
+                assert probes == [lo]
+
+
+def test_hitting_times_streams_a_short_prefix():
+    trace = generate_trace(ProcessConfig(1000, "auto", derive_trial_seed(3, 0)))
+    ht = hitting_times(trace)
+    assert ht.m_r is not None and ht.r_decision_mode == "exact"
+    streamed = len(trace._cache)
+    assert streamed >= max(ht.m_c, ht.m_z, ht.m_a, ht.m_r)
+    assert streamed < trace.total_edges // 50
 
 
 def test_ordering_chain():

@@ -87,6 +87,16 @@ def test_graph_at_builds_prefix():
     assert g.edges == trace.materialize()[:8]
 
 
+def test_graph_at_agrees_with_prefix_in_any_request_order():
+    for order in ([0, 7, 3, 20, 12, 20, 1], [20, 0, 5], [4, 4, 9, 2]):
+        trace = generate_trace(ProcessConfig(5, 9, 77))
+        for m in order:
+            assert trace.graph_at(m).edges == list(trace.prefix(m))
+        assert trace.materialize() == list(trace.prefix(20))
+    with pytest.raises(ValueError):
+        trace.graph_at(21)
+
+
 def test_permutation_uniformity_chi_square():
     # position of the pair (0,1) among the 6 slots at n=3 over 10^5 traces
     trials = 100_000
