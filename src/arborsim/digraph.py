@@ -160,16 +160,17 @@ def strongly_connected_components(g: ColouredDigraph) -> tuple[int, list[int]]:
     return ncomp, comp
 
 
-def has_spanning_arborescence(g: ColouredDigraph) -> tuple[bool, int | None]:
-    """Whether some vertex reaches every vertex, plus one valid root.
+def spanning_roots(g: ColouredDigraph) -> list[int]:
+    """Every vertex that reaches all of g, ascending; empty when none does.
 
     Condensation criterion: the digraph has a spanning arborescence iff its
-    SCC condensation has exactly one source component.
+    SCC condensation has exactly one source component, and the roots are
+    the vertices of that component.
     """
     if g.n == 1:
-        return True, 0
+        return [0]
     if g.zero_in_count >= 2:
-        return False, None  # two in-degree-zero vertices can never both be reached
+        return []  # two in-degree-zero vertices can never both be reached
     ncomp, comp = strongly_connected_components(g)
     has_external_in = bytearray(ncomp)
     for e in g.edges:
@@ -177,7 +178,12 @@ def has_spanning_arborescence(g: ColouredDigraph) -> tuple[bool, int | None]:
             has_external_in[comp[e.head]] = 1
     sources = [c for c in range(ncomp) if not has_external_in[c]]
     if len(sources) != 1:
-        return False, None
+        return []
     src = sources[0]
-    root = next(v for v in range(g.n) if comp[v] == src)
-    return True, root
+    return [v for v in range(g.n) if comp[v] == src]
+
+
+def has_spanning_arborescence(g: ColouredDigraph) -> tuple[bool, int | None]:
+    """Whether some vertex reaches every vertex, plus the lowest such root."""
+    roots = spanning_roots(g)
+    return (True, roots[0]) if roots else (False, None)

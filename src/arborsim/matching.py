@@ -39,8 +39,10 @@ def build_colour_bigraph(g: ColouredDigraph) -> ColourBipartiteGraph:
     return ColourBipartiteGraph(g.n, g.colour_count, adjacency)
 
 
-def _maximum_matching(b: ColourBipartiteGraph, skip: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Maximum matching over left = vertices except `skip`, right = colours.
+def _maximum_matching(
+    b: ColourBipartiteGraph, skip: int | None = None
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Maximum matching over left = vertices except `skip` (if any), right = colours.
 
     BFS augmenting-path search from each free left vertex in ascending
     order; deterministic for a given adjacency.
@@ -93,6 +95,34 @@ def find_colour_assignment(b: ColourBipartiteGraph, root: int) -> ColourAssignme
     return ColourAssignment(root, dict(match_v))
 
 
+def _alternating_reach(
+    b: ColourBipartiteGraph, match_c: dict[int, int], seed: int
+) -> tuple[set[int], set[int]]:
+    """Vertices and colours reachable from an unmatched `seed` by alternating paths.
+
+    A vertex steps to any of its colours, a colour to the vertex matched to
+    it. Under a maximum matching every reached colour is matched, else the
+    path to it would augment.
+    """
+    s_set = {seed}
+    t_set: set[int] = set()
+    queue = [seed]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for c in b.adjacency[v]:
+            if c in t_set:
+                continue
+            t_set.add(c)
+            owner = match_c.get(c)
+            assert owner is not None
+            if owner not in s_set:
+                s_set.add(owner)
+                queue.append(owner)
+    return s_set, t_set
+
+
 def find_k_witness(b: ColourBipartiteGraph, root: int) -> KWitness | None:
     """Hall violator for V \\ {root}, or None iff an assignment exists.
 
@@ -107,27 +137,28 @@ def find_k_witness(b: ColourBipartiteGraph, root: int) -> KWitness | None:
     unmatched = [v for v in range(b.n) if v != root and v not in match_v]
     if not unmatched:
         return None
-    seed = min(unmatched)
-    s_set = {seed}
-    t_set: set[int] = set()
-    queue = [seed]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for c in b.adjacency[v]:
-            if c in t_set:
-                continue
-            t_set.add(c)
-            owner = match_c.get(c)
-            # An unmatched neighbour colour would mean an augmenting path,
-            # contradicting maximality.
-            assert owner is not None
-            if owner not in s_set:
-                s_set.add(owner)
-                queue.append(owner)
+    s_set, t_set = _alternating_reach(b, match_c, min(unmatched))
     assert len(t_set) == len(s_set) - 1
     return KWitness(sorted(s_set), sorted(t_set))
+
+
+def assignment_roots(b: ColourBipartiteGraph) -> set[int]:
+    """Every root r for which find_colour_assignment(b, r) succeeds, from one matching.
+
+    Take a maximum matching on all of V. If it leaves two or more vertices
+    unmatched, removing one root cannot saturate the rest; if it leaves
+    none, dropping any root's matched edge saturates the rest. If it
+    leaves exactly one vertex u, the admissible roots are the vertices that
+    some maximum matching leaves unmatched, which are exactly those reached
+    from u by even alternating paths (Dulmage-Mendelsohn; Gallai-Edmonds).
+    """
+    match_v, match_c = _maximum_matching(b)
+    unmatched = [v for v in range(b.n) if v not in match_v]
+    if not unmatched:
+        return set(range(b.n))
+    if len(unmatched) >= 2:
+        return set()
+    return _alternating_reach(b, match_c, unmatched[0])[0]
 
 
 def materialize_assignment(g: ColouredDigraph, assignment: ColourAssignment) -> dict[int, ColouredEdge]:

@@ -18,11 +18,12 @@ from arborsim.digraph import (
     ColouredEdge,
     has_spanning_arborescence,
     reachable_from,
+    spanning_roots,
 )
 from arborsim.matching import (
+    assignment_roots,
     build_colour_bigraph,
     find_colour_assignment,
-    materialize_assignment,
 )
 
 
@@ -154,97 +155,227 @@ def brute_force_oracle(
 
 
 def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
-    zero_in = [v for v in range(g.n) if g.in_deg[v] == 0]
+    """Roots worth searching from, in increasing (in-degree, v) order.
+
+    A root qualifies when it reaches every vertex and V \\ {root} has an
+    injective colour assignment. One maximum matching settles the second
+    test for every root at once; the first takes one reachability pass
+    when the root is fixed (given, or the only in-degree-zero vertex) and
+    one condensation otherwise. The search from any other root would fail,
+    so skipping it changes no answer.
+    """
+    if root is None and g.zero_in_count == 1:
+        root = g.in_deg.index(0)
+    hall = assignment_roots(build_colour_bigraph(g))
     if root is not None:
-        if any(z != root for z in zero_in):
-            return []  # some other vertex could never be reached
-        return [root]
-    if len(zero_in) == 1:
-        return zero_in
-    if len(zero_in) >= 2:
-        return []
-    return sorted(range(g.n), key=lambda v: (g.in_deg[v], v))
+        ok = root in hall and len(reachable_from(g, {root})) == g.n
+        return [root] if ok else []
+    usable = hall.intersection(spanning_roots(g))
+    return sorted(usable, key=lambda v: (g.in_deg[v], v))
 
 
 def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> ArborescenceCertificate | None:
+    """Backtracking search for a rainbow arborescence rooted at `root`.
+
+    grow(tree, used) extends the partial tree (vertex bitmask) whose edges
+    consumed the colours in `used`, branching on every frontier edge
+    (tail inside, head outside, colour unused): scarcest heads first, by
+    (admissible edge count, v), and each head's edges in in-edge order.
+    A state fails when some outside vertex has no unused in-colour, when
+    fewer unused colours enter the outside than it has vertices, or when
+    some outside vertex is unreachable along unused-colour edges. Failed
+    states are memoised by (tree, used), packed into one integer.
+
+    A node costs O(n) integer operations, not a rescan of every edge: the
+    search keeps the following for the current state, updates it when a
+    branch takes edge (t, v, c) and undoes that exactly when the branch
+    returns, touching only the edges of colour c and the edges at v.
+
+    - avail[v], the number of unused colours on v's in-edges, and `zero`,
+      the number of outside vertices where it is 0;
+    - heads_of[c], the number of outside vertices colour c enters, and
+      `live`, the number of unused colours with heads_of[c] > 0;
+    - adm[v], the number of frontier edges into outside v; `front`, the
+      bitmask of outside vertices with adm[v] > 0; by_adm[a], the bitmask
+      of outside vertices with adm[v] == a, which yields the branch order
+      without sorting;
+    - reach[t], the bitmask of heads t reaches by an unused colour, so
+      reachability is a bitset BFS out of `front`.
+    """
     n = g.n
-    if len(reachable_from(g, {root})) < n:
-        return None
-    # Necessary condition: an injective vertex -> in-edge-colour assignment.
-    if find_colour_assignment(build_colour_bigraph(g), root) is None:
-        return None
-    in_lists: list[list[tuple[int, int]]] = [
-        [(e.tail, e.colour) for e in g.in_edges[v]] for v in range(n)
-    ]
-    out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in g.edges:
-        out_lists[e.tail].append((e.head, e.colour))
     full = (1 << n) - 1
+    # Colours are renumbered densely in order of first appearance, so the
+    # memo's colour masks are as wide as the colours present, not as wide
+    # as colour_count (3,347 at n = 200 by default).
+    colours = list(dict.fromkeys([c for _, _, c in g.edges]))
+    index = {c: k for k, c in enumerate(colours)}
+    in_lists = [[(t, index[c]) for t, _, c in es] for es in g.in_edges]
+    in_colours = [list({k for _, k in es}) for es in in_lists]
+    colour_heads: list[list[int]] = [[] for _ in colours]
+    colour_edges: list[list[tuple[int, int]]] = [[] for _ in colours]
+    out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    reach = [0] * n
+    for v, es in enumerate(in_lists):
+        for k in in_colours[v]:
+            colour_heads[k].append(v)
+        for t, k in es:
+            out_lists[t].append((v, k))
+            colour_edges[k].append((t, v))
+            reach[t] |= 1 << v
+    heads_of = [len(hs) for hs in colour_heads]
+    for c in in_colours[root]:
+        heads_of[c] -= 1
+    avail = [len(cs) for cs in in_colours]
+    zero = avail.count(0) - (not avail[root])
+    live = len(heads_of) - heads_of.count(0)
+    inside = bytearray(n)
+    inside[root] = 1
+    is_used = bytearray(len(colours))
+    adm = [0] * n
+    front = 0
+    for h, _ in out_lists[root]:
+        adm[h] = 1
+        front |= 1 << h
+    by_adm = [0] * (n + 1)
+    by_adm[1] = front
     parent: dict[int, tuple[int, int]] = {}
-    failed: set[tuple[int, int]] = set()
+    failed: set[int] = set()
+
+    def take(v: int, c: int) -> None:
+        nonlocal zero, live, front
+        is_used[c] = 1
+        for h in colour_heads[c]:
+            avail[h] -= 1
+            if not avail[h] and not inside[h]:
+                zero += 1
+        live -= 1  # c enters v, which is still outside
+        for t, h in colour_edges[c]:
+            bit = 1 << h
+            reach[t] ^= bit
+            if inside[t] and not inside[h]:
+                a = adm[h]
+                by_adm[a] ^= bit
+                adm[h] = a = a - 1
+                if a:
+                    by_adm[a] ^= bit
+                else:
+                    front ^= bit
+        inside[v] = 1
+        if not avail[v]:
+            zero -= 1
+        for k in in_colours[v]:
+            heads_of[k] -= 1
+            if not heads_of[k] and not is_used[k]:
+                live -= 1
+        if adm[v]:
+            by_adm[adm[v]] ^= 1 << v
+            front ^= 1 << v
+        for h, k in out_lists[v]:
+            if not inside[h] and not is_used[k]:
+                bit = 1 << h
+                a = adm[h]
+                if a:
+                    by_adm[a] ^= bit
+                else:
+                    front ^= bit
+                adm[h] = a = a + 1
+                by_adm[a] ^= bit
+
+    def untake(v: int, c: int) -> None:
+        nonlocal zero, live, front
+        for h, k in out_lists[v]:
+            if not inside[h] and not is_used[k]:
+                bit = 1 << h
+                a = adm[h]
+                by_adm[a] ^= bit
+                adm[h] = a = a - 1
+                if a:
+                    by_adm[a] ^= bit
+                else:
+                    front ^= bit
+        if adm[v]:
+            by_adm[adm[v]] ^= 1 << v
+            front ^= 1 << v
+        for k in in_colours[v]:
+            if not heads_of[k] and not is_used[k]:
+                live += 1
+            heads_of[k] += 1
+        if not avail[v]:
+            zero += 1
+        inside[v] = 0
+        for t, h in colour_edges[c]:
+            bit = 1 << h
+            reach[t] |= bit
+            if inside[t] and not inside[h]:
+                a = adm[h]
+                if a:
+                    by_adm[a] ^= bit
+                else:
+                    front ^= bit
+                adm[h] = a = a + 1
+                by_adm[a] ^= bit
+        live += 1
+        for h in colour_heads[c]:
+            if not avail[h] and not inside[h]:
+                zero -= 1
+            avail[h] += 1
+        is_used[c] = 0
 
     def grow(tree: int, used: int) -> bool:
         if tree == full:
             return True
-        key = (tree, used)
+        key = tree | used << n
         if key in failed:
             return False
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("exact search budget exhausted")
-        branch: list[tuple[int, int, list[tuple[int, int]]]] = []
-        avail_union = 0
-        remaining = 0
-        for v in range(n):
-            if tree >> v & 1:
-                continue
-            remaining += 1
-            avail = 0
-            adm: list[tuple[int, int]] = []
-            for t, c in in_lists[v]:
-                bit = 1 << c
-                if used & bit:
-                    continue
-                avail |= bit
-                if tree >> t & 1:
-                    adm.append((t, c))
-            if avail == 0:
-                failed.add(key)
-                return False  # v can never be attached on this branch
-            avail_union |= avail
-            branch.append((len(adm), v, adm))
-        if avail_union.bit_count() < remaining:
+        if zero or live < n - tree.bit_count():
             failed.add(key)
-            return False  # not enough distinct unused colours left anywhere
-        # Reachability: every outside vertex must be reachable from the
-        # tree along edges whose colours are still unused.
-        seen = tree
-        stack = [v for v in range(n) if tree >> v & 1]
-        while stack:
-            t = stack.pop()
-            for h, c in out_lists[t]:
-                if not seen >> h & 1 and not used >> c & 1:
-                    seen |= 1 << h
-                    stack.append(h)
+            return False
+        # Bitset BFS: the outside vertices reachable from the tree along
+        # unused-colour edges, starting from those one frontier edge away.
+        seen = tree | front
+        todo = front
+        while todo and seen != full:
+            nxt = 0
+            while todo:
+                low = todo & -todo
+                nxt |= reach[low.bit_length() - 1]
+                todo ^= low
+            todo = nxt & ~seen
+            seen |= todo
         if seen != full:
             failed.add(key)
             return False
         # Branching over every admissible frontier edge is complete: any
         # extension tree must leave the current vertex set through one of
-        # them. Scarcest heads first; (count, v) pairs are unique, so the
-        # admissible lists never take part in the comparison.
-        branch.sort()
-        for _, v, adm in branch:
-            vbit = 1 << v
-            for t, c in adm:
-                parent[v] = (t, c)
-                if grow(tree | vbit, used | (1 << c)):
-                    return True
+        # them. Heads come in (adm, v) order, bucket by bucket and each
+        # bucket in ascending v; every child restores the state, so a
+        # bucket read after earlier children returned is as it was here.
+        rest = front
+        a = 0
+        while rest:
+            a += 1
+            todo = by_adm[a]
+            rest ^= todo
+            while todo:
+                vbit = todo & -todo
+                todo ^= vbit
+                v = vbit.bit_length() - 1
+                for t, c in in_lists[v]:
+                    if not inside[t] or is_used[c]:
+                        continue
+                    parent[v] = (t, c)
+                    take(v, c)
+                    if grow(tree | vbit, used | (1 << c)):
+                        return True
+                    untake(v, c)
         failed.add(key)
         return False
 
     if not grow(1 << root, 0):
         return None
-    edges = {v: ColouredEdge(t, v, c) for v, (t, c) in parent.items()}
+    edges = {v: ColouredEdge(t, v, colours[c]) for v, (t, c) in parent.items()}
     cert = ArborescenceCertificate(root, edges)
     assert verify_certificate(g, cert), "exact solver produced an invalid certificate"
     return cert
@@ -328,9 +459,14 @@ def decide_exact(
     with an unused colour. Failed (vertex set, colour set) states are
     memoised: whether a partial tree extends to a spanning one depends only
     on which vertices it covers and which colours it has consumed, never on
-    its internal shape. Candidate roots are tried in increasing in-degree
-    order; a vertex of in-degree zero, if present, is the only possible
-    root.
+    its internal shape. Candidate roots are tried in increasing
+    (in-degree, v) order, skipping any root that does not reach every
+    vertex or leaves no injective colour assignment on the others; one
+    condensation and one maximum matching settle this for all roots at
+    once. Each search node costs O(n) integer operations: the search keeps
+    per-vertex and per-colour counters and reachability bitmasks for the
+    current state and updates them when a branch takes an edge, undoing
+    the update when the branch returns (see _search_root).
     """
     n = g.n
     if n == 1:

@@ -6,8 +6,8 @@ import pytest
 
 from arborsim import edgelist
 from arborsim.cli import build_parser, main
-from arborsim.process import ProcessConfig, generate_trace
-from arborsim.rainbow import decide
+from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
+from arborsim.rainbow import _decide_by_colour_enumeration, decide
 from arborsim.rng import SplitMix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -167,6 +167,42 @@ def test_decide_respects_root(tmp_path):
     path.write_text("3 3\n1 2 1\n2 3 2\n3 1 3\n")
     code, out, _ = run_cli(["decide", "--input", str(path), "--root", "2"])
     assert code == 0 and "root 2" in out
+
+
+# (n, trace seed, heads): the trace's shortest prefix with n - 1 colours and
+# `heads` distinct heads, so n - 1 heads is the prefix at M = max(m_C, m_Z)
+# and n heads leaves every vertex a candidate root. Colour-class
+# enumeration is inapplicable on all of them, so the backtracking search
+# and its root order decide them.
+EXACT_CASES = [(40, 2, 39), (60, 1, 59), (60, 36, 59), (80, 2, 79), (100, 1, 99),
+               (100, 2, 99), (60, 4, 60), (80, 1, 80), (100, 3, 100)]
+
+
+def capture_exact_decisions(tmp_path):
+    sections = []
+    for n, seed, heads_needed in EXACT_CASES:
+        trace = ProcessTrace(ProcessConfig(n, "auto", seed))
+        colours, heads, edges = set(), set(), []
+        for e in trace.edges():
+            edges.append(e)
+            colours.add(e.colour)
+            heads.add(e.head)
+            if len(colours) >= n - 1 and len(heads) >= heads_needed:
+                break
+        path = tmp_path / f"n{n}_s{seed}_h{heads_needed}.txt"
+        with open(path, "w") as fh:
+            edgelist.dump(n, trace.colour_count, edges, fh)
+        with open(path) as fh:
+            g = edgelist.load(fh)
+        assert _decide_by_colour_enumeration(g, None, None) == "inapplicable"
+        code, out, err = run_cli(["decide", "--input", str(path), "--mode", "exact"])
+        assert code == 0 and err == ""
+        sections.append(f"# n={n} seed={seed} heads={heads_needed} edges={len(edges)}\n{out}")
+    return "".join(sections)
+
+
+def test_exact_decide_matches_golden(tmp_path):
+    assert capture_exact_decisions(tmp_path) == (GOLDEN / "decide_exact.txt").read_text()
 
 
 def test_assign_success_and_witness(tmp_path):

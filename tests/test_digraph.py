@@ -6,6 +6,7 @@ from arborsim.digraph import (
     DuplicateEdgeError,
     has_spanning_arborescence,
     reachable_from,
+    spanning_roots,
 )
 from arborsim.rng import SplitMix64
 from helpers import graph_from_edges, random_graph
@@ -82,6 +83,9 @@ def test_arborescence_matches_reachability_exhaustively():
         assert got == expected
         if got:
             assert len(reachable_from(g, {root})) == n
+        roots = [r for r in range(n) if len(reachable_from(g, {r})) == n]
+        assert spanning_roots(g) == roots
+        assert root == (roots[0] if roots else None)
 
 
 def test_arborescence_monotone_under_additions():

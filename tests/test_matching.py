@@ -2,6 +2,7 @@ import pytest
 
 from arborsim.matching import (
     ColourBipartiteGraph,
+    assignment_roots,
     build_colour_bigraph,
     find_colour_assignment,
     find_k_witness,
@@ -89,6 +90,20 @@ def test_duality_and_witness_validity():
             for v in s:
                 neighbourhood.update(b.adjacency[v])
             assert neighbourhood <= set(t)
+
+
+def test_assignment_roots_equal_per_root_matchings():
+    rng = SplitMix64(2024)
+    kinds = set()  # no root, some roots, every root
+    for _ in range(600):
+        n = 1 + rng.below(9)
+        w = 1 + rng.below(n + 2)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        b = build_colour_bigraph(g)
+        expected = {r for r in range(n) if find_colour_assignment(b, r) is not None}
+        assert assignment_roots(b) == expected
+        kinds.add("none" if not expected else "all" if len(expected) == n else "some")
+    assert kinds == {"none", "some", "all"}
 
 
 def test_materialized_assignment_structure():

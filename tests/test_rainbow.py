@@ -12,6 +12,7 @@ from arborsim.rainbow import (
     decide,
     decide_exact,
     heuristic_construct,
+    _search_root,
     verify_certificate,
 )
 from arborsim.rng import SplitMix64
@@ -90,6 +91,26 @@ def test_exact_matches_oracle_randomized():
         for cert in (cert_o, cert_e):
             if cert is not None:
                 assert verify_certificate(g, cert)
+
+
+def test_backtracking_matches_oracle_every_root():
+    # decide_exact reaches the backtracking search only when colour-class
+    # enumeration is inapplicable, which small graphs rarely are; call the
+    # search directly, for every root, with no root pre-checks.
+    rng = SplitMix64(161803)
+    outcomes = {"found": 0, "none": 0}
+    for _ in range(300):
+        n = 2 + rng.below(6)
+        w = n - 1 + rng.below(3)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        for r in range(n):
+            cert = _search_root(g, r, None)
+            expected = brute_force_oracle(g, root=r)
+            assert (cert is None) == (expected is None), (n, w, g.edges, r)
+            if cert is not None:
+                assert cert.root == r and verify_certificate(g, cert)
+            outcomes["found" if cert else "none"] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_exact_matches_oracle_exhaustive_colourings():
