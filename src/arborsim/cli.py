@@ -9,6 +9,7 @@ reproducible unless ``--seed random`` is given explicitly.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -55,6 +56,13 @@ def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trial count (default 100)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit master seed or 'random' (default {DEFAULT_SEED})")
-    p.add_argument("--c", type=float, default=0.0,
+    p.add_argument("--c", type=_finite, default=0.0,
                    help="offset c in m = n(log n + c), poisson only (default 0)")
     p.add_argument("--r-mode", choices=["oracle", "exact", "heuristic", "auto"],
                    default="auto", help="rainbow decision mode, theorem only")

@@ -11,12 +11,12 @@ is a fast one-sided constructor.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from arborsim.digraph import (
     ColouredDigraph,
     ColouredEdge,
-    has_spanning_arborescence,
     reachable_from,
     spanning_roots,
 )
@@ -61,6 +61,11 @@ class DecideResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_root(n: int, root: int | None) -> None:
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root {root} out of range [0, {n})")
+
+
 def verify_certificate(g: ColouredDigraph, cert: ArborescenceCertificate) -> bool:
     """Full O(n) validity check: edges present in g, spanning, acyclic, rainbow."""
     n = g.n
@@ -69,40 +74,22 @@ def verify_certificate(g: ColouredDigraph, cert: ArborescenceCertificate) -> boo
         return False
     if set(cert.parent_edge) != set(range(n)) - {root}:
         return False
-    colours = set()
     for v, e in cert.parent_edge.items():
-        if e.head != v:
+        if e.head != v or g.edge_colour(e.tail, e.head) != e.colour:
             return False
-        if g.edge_colour(e.tail, e.head) != e.colour:
-            return False
-        if e.colour in colours:
-            return False
-        colours.add(e.colour)
-    # Walk parent chains with memoisation; every vertex must reach the root.
-    state = [0] * n  # 0 unvisited, 1 on current walk, 2 reaches root
-    state[root] = 2
-    for v in range(n):
-        path = []
-        u = v
-        while state[u] == 0:
-            state[u] = 1
-            path.append(u)
-            u = cert.parent_edge[u].tail
-        if state[u] == 1:
-            return False  # cycle
-        for w in path:
-            state[w] = 2
-    return True
+    return _is_rainbow_arborescence(n, root, cert.parent_edge.values())
 
 
-def _is_rainbow_arborescence(n: int, root: int, choice: tuple[ColouredEdge, ...]) -> bool:
+def _is_rainbow_arborescence(n: int, root: int, choice: Iterable[ColouredEdge]) -> bool:
+    """Whether one in-edge per non-root vertex has distinct colours and no cycle."""
     colours = set()
     for e in choice:
         if e.colour in colours:
             return False
         colours.add(e.colour)
+    # Walk parent chains with memoisation; every vertex must reach the root.
     parent = {e.head: e.tail for e in choice}
-    state = [0] * n
+    state = [0] * n  # 0 unvisited, 1 on current walk, 2 reaches root
     state[root] = 2
     for v in range(n):
         path = []
@@ -112,7 +99,7 @@ def _is_rainbow_arborescence(n: int, root: int, choice: tuple[ColouredEdge, ...]
             path.append(u)
             u = parent[u]
         if state[u] == 1:
-            return False
+            return False  # cycle
         for w in path:
             state[w] = 2
     return True
@@ -161,8 +148,9 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
     injective colour assignment. One maximum matching settles the second
     test for every root at once; the first takes one reachability pass
     when the root is fixed (given, or the only in-degree-zero vertex) and
-    one condensation otherwise. The search from any other root would fail,
-    so skipping it changes no answer.
+    one condensation otherwise. No other root carries a rainbow
+    arborescence, so colour enumeration and backtracking both search from
+    these roots alone, and an empty list means there is none.
     """
     if root is None and g.zero_in_count == 1:
         root = g.in_deg.index(0)
@@ -181,18 +169,17 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     consumed the colours in `used`, branching on every frontier edge
     (tail inside, head outside, colour unused): scarcest heads first, by
     (admissible edge count, v), and each head's edges in in-edge order.
-    A state fails when some outside vertex has no unused in-colour, when
-    fewer unused colours enter the outside than it has vertices, or when
-    some outside vertex is unreachable along unused-colour edges. Failed
-    states are memoised by (tree, used), packed into one integer.
+    A state fails when fewer unused colours enter the outside than it has
+    vertices, or when some outside vertex is unreachable along
+    unused-colour edges; the second also covers an outside vertex with no
+    unused in-colour. Failed states are memoised by (tree, used), packed
+    into one integer.
 
     A node costs O(n) integer operations, not a rescan of every edge: the
     search keeps the following for the current state, updates it when a
     branch takes edge (t, v, c) and undoes that exactly when the branch
     returns, touching only the edges of colour c and the edges at v.
 
-    - avail[v], the number of unused colours on v's in-edges, and `zero`,
-      the number of outside vertices where it is 0;
     - heads_of[c], the number of outside vertices colour c enters, and
       `live`, the number of unused colours with heads_of[c] > 0;
     - adm[v], the number of frontier edges into outside v; `front`, the
@@ -211,22 +198,19 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     index = {c: k for k, c in enumerate(colours)}
     in_lists = [[(t, index[c]) for t, _, c in es] for es in g.in_edges]
     in_colours = [list({k for _, k in es}) for es in in_lists]
-    colour_heads: list[list[int]] = [[] for _ in colours]
+    heads_of = [0] * len(colours)
     colour_edges: list[list[tuple[int, int]]] = [[] for _ in colours]
     out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     reach = [0] * n
     for v, es in enumerate(in_lists):
         for k in in_colours[v]:
-            colour_heads[k].append(v)
+            heads_of[k] += 1
         for t, k in es:
             out_lists[t].append((v, k))
             colour_edges[k].append((t, v))
             reach[t] |= 1 << v
-    heads_of = [len(hs) for hs in colour_heads]
     for c in in_colours[root]:
         heads_of[c] -= 1
-    avail = [len(cs) for cs in in_colours]
-    zero = avail.count(0) - (not avail[root])
     live = len(heads_of) - heads_of.count(0)
     inside = bytearray(n)
     inside[root] = 1
@@ -242,12 +226,8 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     failed: set[int] = set()
 
     def take(v: int, c: int) -> None:
-        nonlocal zero, live, front
+        nonlocal live, front
         is_used[c] = 1
-        for h in colour_heads[c]:
-            avail[h] -= 1
-            if not avail[h] and not inside[h]:
-                zero += 1
         live -= 1  # c enters v, which is still outside
         for t, h in colour_edges[c]:
             bit = 1 << h
@@ -261,8 +241,6 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 else:
                     front ^= bit
         inside[v] = 1
-        if not avail[v]:
-            zero -= 1
         for k in in_colours[v]:
             heads_of[k] -= 1
             if not heads_of[k] and not is_used[k]:
@@ -282,7 +260,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 by_adm[a] ^= bit
 
     def untake(v: int, c: int) -> None:
-        nonlocal zero, live, front
+        nonlocal live, front
         for h, k in out_lists[v]:
             if not inside[h] and not is_used[k]:
                 bit = 1 << h
@@ -300,8 +278,6 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
             if not heads_of[k] and not is_used[k]:
                 live += 1
             heads_of[k] += 1
-        if not avail[v]:
-            zero += 1
         inside[v] = 0
         for t, h in colour_edges[c]:
             bit = 1 << h
@@ -315,10 +291,6 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
         live += 1
-        for h in colour_heads[c]:
-            if not avail[h] and not inside[h]:
-                zero -= 1
-            avail[h] += 1
         is_used[c] = 0
 
     def grow(tree: int, used: int) -> bool:
@@ -329,7 +301,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
             return False
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("exact search budget exhausted")
-        if zero or live < n - tree.bit_count():
+        if live < n - tree.bit_count():
             failed.add(key)
             return False
         # Bitset BFS: the outside vertices reachable from the tree along
@@ -384,39 +356,18 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
 _COLOUR_COMBO_CAP = 2048
 
 
-def _tree_certificate(g: ColouredDigraph, root: int,
-                      allowed: list[ColouredEdge]) -> ArborescenceCertificate:
-    """BFS out-tree from root over `allowed`; caller guarantees it spans."""
-    adjacency: list[list[ColouredEdge]] = [[] for _ in range(g.n)]
-    for e in allowed:
-        adjacency[e.tail].append(e)
-    parent: dict[int, ColouredEdge] = {}
-    queue = [root]
-    seen = {root}
-    qi = 0
-    while qi < len(queue):
-        t = queue[qi]
-        qi += 1
-        for e in adjacency[t]:
-            if e.head not in seen:
-                seen.add(e.head)
-                parent[e.head] = e
-                queue.append(e.head)
-    cert = ArborescenceCertificate(root, parent)
-    assert verify_certificate(g, cert), "tree extraction produced an invalid certificate"
-    return cert
-
-
 def _decide_by_colour_enumeration(
-    g: ColouredDigraph, root: int | None, deadline: float | None
+    g: ColouredDigraph, roots: list[int], deadline: float | None
 ) -> ArborescenceCertificate | None | str:
     """Exact decision for the few-collisions regime.
 
     A rainbow arborescence keeps at most one edge per colour, so fixing
     which single edge survives in every colour class of multiplicity >= 2
     and asking for any spanning arborescence among the surviving edges is
-    an exact reduction. The number of combinations is the product of the
-    class sizes; returns "inapplicable" when that exceeds the cap.
+    an exact reduction. Each combination is tried with a BFS out-tree from
+    each of `roots` in ascending order; the first that spans is returned.
+    The number of combinations is the product of the class sizes; returns
+    "inapplicable" when that exceeds the cap.
     """
     from itertools import product
 
@@ -430,20 +381,26 @@ def _decide_by_colour_enumeration(
         combos *= len(es)
         if combos > _COLOUR_COMBO_CAP:
             return "inapplicable"
+    n = g.n
+    roots = sorted(roots)
     for selection in product(*multi):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("exact search budget exhausted")
-        allowed = single + list(selection)
-        sub = ColouredDigraph(g.n, g.colour_count)
-        for e in allowed:
-            sub.add_edge(e)
-        if root is None:
-            ok, r = has_spanning_arborescence(sub)
-        else:
-            r = root
-            ok = len(reachable_from(sub, {root})) == g.n
-        if ok:
-            return _tree_certificate(g, r, allowed)
+        adjacency: list[list[ColouredEdge]] = [[] for _ in range(n)]
+        for e in single + list(selection):
+            adjacency[e.tail].append(e)
+        for root in roots:
+            parent: dict[int, ColouredEdge] = {}
+            queue = [root]
+            for t in queue:
+                for e in adjacency[t]:
+                    if e.head != root and e.head not in parent:
+                        parent[e.head] = e
+                        queue.append(e.head)
+            if len(queue) == n:
+                cert = ArborescenceCertificate(root, parent)
+                assert verify_certificate(g, cert), "tree extraction produced an invalid certificate"
+                return cert
     return None
 
 
@@ -452,47 +409,47 @@ def decide_exact(
 ) -> ArborescenceCertificate | None:
     """Sound and complete decision.
 
-    When few colours collide, enumerates one surviving edge per colliding
-    colour class and solves each branch as a plain arborescence-existence
-    question. Otherwise falls back to backtracking: grow the tree outward
-    from each candidate root, branching on every frontier-crossing edge
-    with an unused colour. Failed (vertex set, colour set) states are
+    Only candidate roots can carry a rainbow arborescence: those that reach
+    every vertex and leave V \\ {root} an injective colour assignment (see
+    _candidate_roots). They are computed once, and both exact algorithms
+    search from them alone. When few colours collide, colour enumeration
+    fixes one surviving edge per colliding colour class and looks for a
+    spanning out-tree from a candidate root among the survivors. Otherwise
+    backtracking grows the tree outward from each candidate root in
+    increasing (in-degree, v) order, branching on every frontier-crossing
+    edge with an unused colour. Failed (vertex set, colour set) states are
     memoised: whether a partial tree extends to a spanning one depends only
     on which vertices it covers and which colours it has consumed, never on
-    its internal shape. Candidate roots are tried in increasing
-    (in-degree, v) order, skipping any root that does not reach every
-    vertex or leaves no injective colour assignment on the others; one
-    condensation and one maximum matching settle this for all roots at
-    once. Each search node costs O(n) integer operations: the search keeps
-    per-vertex and per-colour counters and reachability bitmasks for the
-    current state and updates them when a branch takes an edge, undoing
-    the update when the branch returns (see _search_root).
+    its internal shape. Each search node costs O(n) integer operations: the
+    search keeps per-vertex and per-colour counters and reachability
+    bitmasks for the current state and updates them when a branch takes an
+    edge, undoing the update when the branch returns (see _search_root).
     """
     n = g.n
+    _check_root(n, root)
     if n == 1:
         return ArborescenceCertificate(0, {})
     if g.distinct_colours < n - 1:
         return None
-    if root is None and g.zero_in_count >= 2:
+    roots = _candidate_roots(g, root)
+    if not roots:
         return None
-    outcome = _decide_by_colour_enumeration(g, root, deadline)
+    outcome = _decide_by_colour_enumeration(g, roots, deadline)
     if outcome != "inapplicable":
         return outcome
-    for r in _candidate_roots(g, root):
+    for r in roots:
         cert = _search_root(g, r, deadline)
         if cert is not None:
             return cert
     return None
 
 
-def heuristic_construct(
-    g: ColouredDigraph, root: int, spare_pool: set[int] | None = None
-) -> HeuristicOutcome:
+def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     """One-sided constructive attempt, fast at process scale.
 
     Pipeline: (1) find an injective colour assignment f on V \\ {root};
-    (2) reserve the spare pool (by default every colour outside the image
-    of f); (3) materialise one in-edge per vertex in colour f(v), preferring
+    (2) reserve the spare pool, every colour outside the image of f;
+    (3) materialise one in-edge per vertex in colour f(v), preferring
     tails already connected to the root, which leaves the root's
     arborescence plus unicyclic leftover components; (4) grow the root
     component by re-pointing outside vertices at it through edges whose
@@ -510,8 +467,7 @@ def heuristic_construct(
     if assignment is None:
         return HeuristicOutcome(None, failure_reason="no injective colour assignment")
     f = assignment.mapping
-    if spare_pool is None:
-        spare_pool = set(range(g.colour_count)) - set(f.values())
+    spare_pool = set(range(g.colour_count)) - set(f.values())
 
     # Materialise: earliest in-edge in colour f(v) whose tail is already
     # connected to the root; repeat passes while the connected set grows.
@@ -604,16 +560,16 @@ def _count_cycles(chosen: dict[int, ColouredEdge], outside: list[int]) -> int:
     return cycles
 
 
-def _heuristic_roots(g: ColouredDigraph, root: int | None, tries: int = 3) -> list[int]:
+_HEURISTIC_TRIES = 3
+
+
+def _heuristic_roots(g: ColouredDigraph, root: int | None) -> list[int]:
     if root is not None:
         return [root]
-    zero_in = [v for v in range(g.n) if g.in_deg[v] == 0]
-    if len(zero_in) == 1:
-        return zero_in
-    if len(zero_in) >= 2:
-        return []
+    if g.zero_in_count == 1:
+        return [g.in_deg.index(0)]
     order = sorted(range(g.n), key=lambda v: (g.in_deg[v], v))
-    return order[:tries]
+    return order[:_HEURISTIC_TRIES]
 
 
 def decide(
@@ -631,6 +587,7 @@ def decide(
     if mode not in ("oracle", "exact", "heuristic", "auto"):
         raise ValueError(f"unknown decision mode {mode!r}")
     n = g.n
+    _check_root(n, root)
     if n > 1 and g.zero_in_count >= 2:
         return DecideResult("not_found", decided_by="exact")
     if n > 1 and g.distinct_colours < n - 1:

@@ -7,7 +7,7 @@ import pytest
 from arborsim import edgelist
 from arborsim.cli import build_parser, main
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
-from arborsim.rainbow import _decide_by_colour_enumeration, decide
+from arborsim.rainbow import _candidate_roots, _decide_by_colour_enumeration, decide
 from arborsim.rng import SplitMix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -84,6 +84,12 @@ def test_negative_budget_is_usage_error():
     assert_usage_error(["hitting-times", "--n", "5", "--budget-ms", "-1"], "--budget-ms")
     assert_usage_error(["experiment", "theorem", "--n", "5", "--trials", "1",
                         "--budget-ms", "-5"], "--budget-ms")
+
+
+def test_non_finite_c_is_usage_error():
+    poisson = ["experiment", "poisson", "--n", "20", "--trials", "1", "--threads", "1"]
+    for c in (["--c", "inf"], ["--c=-inf"], ["--c", "nan"]):
+        assert_usage_error(poisson + c, "--c")
 
 
 def test_seed_outside_64_bits_is_usage_error():
@@ -172,10 +178,14 @@ def test_decide_respects_root(tmp_path):
 # (n, trace seed, heads): the trace's shortest prefix with n - 1 colours and
 # `heads` distinct heads, so n - 1 heads is the prefix at M = max(m_C, m_Z)
 # and n heads leaves every vertex a candidate root. Colour-class
-# enumeration is inapplicable on all of them, so the backtracking search
-# and its root order decide them.
+# enumeration is inapplicable on the nine cases with n >= 40, so the
+# backtracking search and its root order decide them; it applies to the
+# eight with n <= 30 (found at M, none at M, found with every vertex
+# entered), which pin its root order and its BFS out-trees.
 EXACT_CASES = [(40, 2, 39), (60, 1, 59), (60, 36, 59), (80, 2, 79), (100, 1, 99),
-               (100, 2, 99), (60, 4, 60), (80, 1, 80), (100, 3, 100)]
+               (100, 2, 99), (60, 4, 60), (80, 1, 80), (100, 3, 100),
+               (20, 1, 19), (25, 4, 24), (16, 2, 15), (25, 2, 24),
+               (16, 1, 16), (20, 2, 20), (25, 3, 25), (30, 4, 30)]
 
 
 def capture_exact_decisions(tmp_path):
@@ -194,7 +204,8 @@ def capture_exact_decisions(tmp_path):
             edgelist.dump(n, trace.colour_count, edges, fh)
         with open(path) as fh:
             g = edgelist.load(fh)
-        assert _decide_by_colour_enumeration(g, None, None) == "inapplicable"
+        enumeration = _decide_by_colour_enumeration(g, _candidate_roots(g, None), None)
+        assert (enumeration == "inapplicable") == (n >= 40)
         code, out, err = run_cli(["decide", "--input", str(path), "--mode", "exact"])
         assert code == 0 and err == ""
         sections.append(f"# n={n} seed={seed} heads={heads_needed} edges={len(edges)}\n{out}")

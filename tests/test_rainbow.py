@@ -131,6 +131,18 @@ def test_exact_respects_root_argument():
     assert decide_exact(star, root=1) is None  # vertex 0 unreachable from 1
 
 
+def test_root_out_of_range_is_value_error():
+    cycle = graph_from_edges(3, 3, [(0, 1, 0), (1, 2, 1), (2, 0, 2)])
+    two_sources = graph_from_edges(3, 3, [(0, 1, 0)])
+    for g in (cycle, two_sources):
+        for root in (7, 3, -1):
+            for mode in ("oracle", "exact", "heuristic", "auto"):
+                with pytest.raises(ValueError, match="out of range"):
+                    decide(g, mode=mode, root=root)
+            with pytest.raises(ValueError, match="out of range"):
+                decide_exact(g, root=root)
+
+
 def test_exact_budget():
     g = ColouredDigraph(7, 7)
     c = 0
