@@ -26,7 +26,7 @@ from arborsim.experiments import (
 from arborsim.hitting import hitting_times
 from arborsim.matching import build_colour_bigraph, find_colour_assignment, find_k_witness
 from arborsim.process import ProcessConfig, generate_trace
-from arborsim.rainbow import decide
+from arborsim.rainbow import OracleTooLargeError, decide
 
 DEFAULT_SEED = 1729
 
@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mapping":
             return _cmd_mapping(args)
         return _cmd_experiment(args)
-    except ValueError as exc:
+    except (ValueError, OracleTooLargeError) as exc:
         print(f"arborsim: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ from typing import Callable, IO, Sequence
 from arborsim.hitting import hitting_times
 from arborsim.mappings import cycle_components, epidemic_spread, loop_count, sample_mapping
 from arborsim.process import ProcessConfig, epsilon, generate_trace, round_half_up
-from arborsim.rainbow import decide
 from arborsim.rng import INFECTION_STREAM, SplitMix64, derive_stream_seed, derive_trial_seed
 
 SCHEMA = 1
@@ -114,8 +113,7 @@ def _theorem_trial(args: tuple) -> tuple:
     seed = derive_trial_seed(master_seed, trial)
     trace = generate_trace(ProcessConfig(n, "auto", seed))
     ht = hitting_times(trace, r_mode=r_mode, budget_s=budget_s)
-    heur = decide(trace.graph_at(ht.m_z), mode="heuristic")
-    heuristic_ok = 1 if heur.outcome == "found" else 0
+    heuristic_ok = 1 if ht.heuristic_at_z else 0
     a_eq_z = 1 if ht.m_a == ht.m_z else 0
     if ht.m_r is not None:
         r_at_z = 1 if ht.m_r == ht.m_z else 0

@@ -13,7 +13,8 @@ their hitting times come from galloping (exponential) search upward on that
 graph, then bisection of the last bracket on graphs rebuilt from the
 trace's cached prefix. Z and A always happen; C and R can fail to ever
 happen, in which case their times are reported as undefined (None) rather
-than clamped to the last step.
+than clamped to the last step. The constructive heuristic runs once, at m_Z;
+its success settles m_R = m_Z in auto mode; in heuristic mode it is the answer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class HittingTimes:
     m_a: int
     m_r: int | None
     r_decision_mode: str  # "exact" | "heuristic-certified" | "unknown"
+    heuristic_at_z: bool  # the constructive heuristic certifies R at m_Z
 
 
 def event_holds(g: ColouredDigraph, event: str, mode: str = "auto",
@@ -94,17 +96,17 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
                   budget_s: float | None = 10.0) -> HittingTimes:
     """Hitting times of all four events for one trace.
 
-    The prefix is streamed lazily: one graph grows forward along the trace
-    until both the Z counter and (if it ever can) the C counter cross, then
-    m_A and m_R come from galloping upward on that same graph, from m_Z and
-    from max(m_A, m_C), followed by bisection of the last bracket on graphs
-    rebuilt from the trace's cached prefix. The trace is drawn only as far
-    as the counters and the upward probes need.
+    The prefix is streamed lazily: one graph grows forward until the Z
+    counter and (if it ever can) the C counter cross; m_A and m_R come from
+    galloping upward on it, from m_Z and max(m_A, m_C), then bisecting the
+    last bracket on graphs rebuilt from the trace's cached prefix.
 
-    The budget applies per rainbow decision. In heuristic mode the tool
-    only certifies whether R already holds at m_Z (one-sided decisions
-    cannot drive a sound search); m_r is then m_z on success and unknown
-    on failure.
+    R needs C and A, so the heuristic runs once, at m_Z, only when
+    max(m_A, m_C) = m_Z (on the grown graph itself); heuristic_at_z is its
+    verdict. Heuristic mode stops there (m_r is m_z or unknown), since
+    one-sided decisions cannot drive a sound search, and auto stops on
+    success; else auto, exact and oracle gallop from max(m_A, m_C) with
+    their own solver, the budget applying per rainbow decision.
     """
     if r_mode not in R_MODES:
         raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {R_MODES}")
@@ -143,13 +145,15 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
 
     if m_c is None:
         # Fewer than n-1 colours ever appear, so R never happens either.
-        return HittingTimes(None, m_z, m_a, None, "exact")
+        return HittingTimes(None, m_z, m_a, None, "exact", False)
 
+    at_z = max(m_a, m_c) == m_z and decide(graph(m_z), "heuristic").outcome == "found"
     if r_mode == "heuristic":
-        result = decide(graph(m_z), mode="heuristic")
-        if result.outcome == "found":
-            return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified")
-        return HittingTimes(m_c, m_z, m_a, None, "unknown")
+        if at_z:
+            return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified", True)
+        return HittingTimes(m_c, m_z, m_a, None, "unknown", False)
+    if at_z and r_mode == "auto":  # a verified certificate at the lower bound
+        return HittingTimes(m_c, m_z, m_a, m_z, "exact", True)
 
     def rainbow_at(m: int) -> bool:
         result = decide(graph(m), mode=r_mode, budget_s=budget_s)
@@ -160,5 +164,5 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     try:
         m_r = gallop(max(m_a, m_c), total, rainbow_at)
     except BudgetExceededError:
-        return HittingTimes(m_c, m_z, m_a, None, "unknown")
-    return HittingTimes(m_c, m_z, m_a, m_r, "exact")
+        return HittingTimes(m_c, m_z, m_a, None, "unknown", at_z)
+    return HittingTimes(m_c, m_z, m_a, m_r, "exact", at_z)

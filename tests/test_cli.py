@@ -107,6 +107,21 @@ def test_theorem_check_at_n1000():
     assert "# summary.unknown_count=0" in out
 
 
+def test_oracle_guard_is_one_line_error(tmp_path):
+    # K_10 with every in-edge of vertices 2..10 in colour 1: 9^9 in-edge
+    # selections per root, beyond the oracle's enumeration guard
+    path = tmp_path / "k10.txt"
+    path.write_text("10 10\n" + "".join(
+        f"{t} {h} {t if h == 1 else 1}\n"
+        for t in range(1, 11) for h in range(1, 11) if t != h))
+    for argv in (["decide", "--input", str(path), "--mode", "oracle"],
+                 ["experiment", "theorem", "--n", "30", "--trials", "2",
+                  "--r-mode", "oracle", "--threads", "1"]):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("arborsim: ") and err.count("\n") == 1
+
+
 def test_io_error_exits_3(tmp_path):
     code, _, err = run_cli(["decide", "--input", str(tmp_path / "missing.txt")])
     assert code == 3 and "cannot read" in err

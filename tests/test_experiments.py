@@ -1,7 +1,9 @@
 import math
+import pathlib
 
 import pytest
 
+from arborsim import experiments, rainbow
 from arborsim.experiments import (
     ExperimentReport,
     binomial_half_width,
@@ -87,6 +89,43 @@ def test_theorem_oracle_and_exact_modes_agree_per_trial():
     b = run_theorem_experiment(5, 300, seed=77, r_mode="exact")
     pick = lambda rows: [(r[0], r[2], r[3], r[4], r[5], r[7], r[8]) for r in rows]
     assert pick(a.rows) == pick(b.rows)
+
+
+# (n, trials, r_mode) at seed 505. Together these reach every heuristic_ok
+# path: certified at m_Z, failed with m_Z = max(m_A, m_C), and skipped
+# because m_Z < max(m_A, m_C); the heuristic-mode case also has unknowns.
+THEOREM_CASES = [(8, 200, "oracle"), (25, 300, "exact"), (25, 300, "auto"),
+                 (25, 300, "heuristic"), (100, 20, "auto")]
+
+
+def test_theorem_reports_match_golden():
+    text = "".join(run_theorem_experiment(n, trials, seed=505, r_mode=mode,
+                                          threads=1).to_csv()
+                   for n, trials, mode in THEOREM_CASES)
+    golden = pathlib.Path(__file__).parent / "golden" / "theorem_report.csv"
+    assert text == golden.read_text()
+
+
+def test_heuristic_at_m_z_runs_once_per_trial(monkeypatch):
+    calls = []  # per trial: (edge count, root) of every heuristic attempt
+    real_heuristic = rainbow.heuristic_construct
+    real_hitting_times = experiments.hitting_times
+
+    def heuristic(g, root):
+        calls[-1].append((len(g), root))
+        return real_heuristic(g, root)
+
+    def hitting(*args, **kwargs):
+        calls.append([])
+        return real_hitting_times(*args, **kwargs)
+
+    monkeypatch.setattr(rainbow, "heuristic_construct", heuristic)
+    monkeypatch.setattr(experiments, "hitting_times", hitting)
+    report = run_theorem_experiment(25, 100, seed=11, r_mode="auto", threads=1)
+    certified = [trial for trial, row in zip(calls, report.rows) if row[9] == 1]
+    assert len(calls) == 100 and certified
+    for trial in certified:
+        assert len(trial) == len(set(trial)), trial
 
 
 def test_poisson_small_run_sane():

@@ -6,7 +6,7 @@ import pytest
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
-from arborsim.rainbow import brute_force_oracle
+from arborsim.rainbow import brute_force_oracle, decide
 from arborsim.rng import SplitMix64, derive_trial_seed
 from helpers import graph_from_edges
 
@@ -34,15 +34,20 @@ def linear_scan_hitting_times(trace):
 
 def event_scan_hitting_times(config, mode):
     """Reference implementation: the first prefix on which each event holds,
-    found by asking event_holds on every prefix of a fresh trace."""
+    found by asking event_holds on every prefix of a fresh trace, and
+    whether the heuristic certifies R on the prefix at m_Z."""
     first = dict.fromkeys("CZAR")
+    heuristic_at_z = None
     g = ColouredDigraph(config.n, config.resolved_colour_count)
     for m, e in enumerate(ProcessTrace(config).materialize(), start=1):
         g.add_edge(e)
         for event in "CZAR":
             if first[event] is None and event_holds(g, event, mode=mode, budget_s=None):
                 first[event] = m
-    return HittingTimes(first["C"], first["Z"], first["A"], first["R"], "exact")
+        if heuristic_at_z is None and first["Z"] is not None:
+            heuristic_at_z = decide(g, mode="heuristic").outcome == "found"
+    return HittingTimes(first["C"], first["Z"], first["A"], first["R"], "exact",
+                        heuristic_at_z)
 
 
 def test_event_holds_examples():
@@ -162,6 +167,7 @@ def test_heuristic_mode_is_one_sided():
         n = 5 + rng.below(20)
         trace = generate_trace(ProcessConfig(n, "auto", derive_trial_seed(12, trial)))
         ht = hitting_times(trace, r_mode="heuristic")
+        assert ht.heuristic_at_z == (ht.r_decision_mode == "heuristic-certified")
         if ht.r_decision_mode == "heuristic-certified":
             certified += 1
             assert ht.m_r == ht.m_z
