@@ -109,78 +109,44 @@ def reachable_from(g: ColouredDigraph, roots: Iterable[int]) -> set[int]:
     return forward_closure(g.out_heads, roots)
 
 
-def strongly_connected_components(g: ColouredDigraph) -> tuple[int, list[int]]:
-    """Tarjan's algorithm, iterative. Returns (component count, comp id per vertex)."""
-    n = g.n
-    out = g.out_heads
-    index = [0] * n  # 0 = unvisited, else visit order + 1
-    low = [0] * n
-    on_stack = bytearray(n)
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 1
-    ncomp = 0
-    for s in range(n):
-        if index[s]:
-            continue
-        work = [(s, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            descended = False
-            nbrs = out[v]
-            for i in range(pi, len(nbrs)):
-                w = nbrs[i]
-                if not index[w]:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return ncomp, comp
-
-
 def spanning_roots(g: ColouredDigraph) -> list[int]:
     """Every vertex that reaches all of g, ascending; empty when none does.
 
-    Condensation criterion: the digraph has a spanning arborescence iff its
-    SCC condensation has exactly one source component, and the roots are
-    the vertices of that component.
+    A root reaches every other vertex, so it is the only in-degree-zero
+    vertex when there is one, and one forward pass settles it. Otherwise
+    search from each vertex not yet seen, in ascending order and sharing
+    one seen set: the seen set stays closed under out-edges, so the search
+    that first sees a root starts at a vertex that reaches the root, and
+    nothing is left unseen after it. The last start is therefore a root if
+    any vertex is, and then the roots are exactly the vertices that reach
+    it, found by one closure over reversed edges.
     """
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return [0]
     if g.zero_in_count >= 2:
         return []  # two in-degree-zero vertices can never both be reached
-    ncomp, comp = strongly_connected_components(g)
-    has_external_in = bytearray(ncomp)
-    for e in g.edges:
-        if comp[e.tail] != comp[e.head]:
-            has_external_in[comp[e.head]] = 1
-    sources = [c for c in range(ncomp) if not has_external_in[c]]
-    if len(sources) != 1:
+    out = g.out_heads
+    if g.zero_in_count == 1:
+        z = g.in_deg.index(0)
+        return [z] if len(forward_closure(out, (z,))) == n else []
+    seen = bytearray(n)
+    last = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        last = s
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            for w in out[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+    if len(forward_closure(out, (last,))) < n:
         return []
-    src = sources[0]
-    return [v for v in range(g.n) if comp[v] == src]
+    tails = [[e.tail for e in ins] for ins in g.in_edges]
+    return sorted(forward_closure(tails, (last,)))
 
 
 def has_spanning_arborescence(g: ColouredDigraph) -> tuple[bool, int | None]:

@@ -14,12 +14,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from arborsim.digraph import (
-    ColouredDigraph,
-    ColouredEdge,
-    reachable_from,
-    spanning_roots,
-)
+from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
 from arborsim.matching import (
     assignment_roots,
     build_colour_bigraph,
@@ -144,21 +139,16 @@ def brute_force_oracle(
 def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
     """Roots worth searching from, in increasing (in-degree, v) order.
 
-    A root qualifies when it reaches every vertex and V \\ {root} has an
-    injective colour assignment. One maximum matching settles the second
-    test for every root at once; the first takes one reachability pass
-    when the root is fixed (given, or the only in-degree-zero vertex) and
-    one condensation otherwise. No other root carries a rainbow
-    arborescence, so colour enumeration and backtracking both search from
-    these roots alone, and an empty list means there is none.
+    A root qualifies when it reaches every vertex (spanning_roots) and
+    V \\ {root} has an injective colour assignment (assignment_roots, one
+    maximum matching for every root at once). A given root is kept only if
+    it qualifies. No other root carries a rainbow arborescence, so colour
+    enumeration and backtracking both search from these roots alone, and
+    an empty list means there is none.
     """
-    if root is None and g.zero_in_count == 1:
-        root = g.in_deg.index(0)
-    hall = assignment_roots(build_colour_bigraph(g))
+    usable = assignment_roots(build_colour_bigraph(g)).intersection(spanning_roots(g))
     if root is not None:
-        ok = root in hall and len(reachable_from(g, {root})) == g.n
-        return [root] if ok else []
-    usable = hall.intersection(spanning_roots(g))
+        usable &= {root}
     return sorted(usable, key=lambda v: (g.in_deg[v], v))
 
 
@@ -411,19 +401,20 @@ def decide_exact(
 
     Only candidate roots can carry a rainbow arborescence: those that reach
     every vertex and leave V \\ {root} an injective colour assignment (see
-    _candidate_roots). They are computed once, and both exact algorithms
-    search from them alone. When few colours collide, colour enumeration
-    fixes one surviving edge per colliding colour class and looks for a
-    spanning out-tree from a candidate root among the survivors. Otherwise
-    backtracking grows the tree outward from each candidate root in
-    increasing (in-degree, v) order, branching on every frontier-crossing
-    edge with an unused colour. Failed (vertex set, colour set) states are
-    memoised: whether a partial tree extends to a spanning one depends only
-    on which vertices it covers and which colours it has consumed, never on
-    its internal shape. Each search node costs O(n) integer operations: the
-    search keeps per-vertex and per-colour counters and reachability
-    bitmasks for the current state and updates them when a branch takes an
-    edge, undoing the update when the branch returns (see _search_root).
+    _candidate_roots); a given root is searched only if it is one. They are
+    computed once, and both exact algorithms search from them alone. When
+    few colours collide, colour enumeration fixes one surviving edge per
+    colliding colour class and looks for a spanning out-tree from a
+    candidate root among the survivors. Otherwise backtracking grows the
+    tree outward from each candidate root in increasing (in-degree, v)
+    order, branching on every frontier-crossing edge with an unused colour.
+    Failed (vertex set, colour set) states are memoised: whether a partial
+    tree extends to a spanning one depends only on which vertices it covers
+    and which colours it has consumed, never on its internal shape. Each
+    search node costs O(n) integer operations: the search keeps per-vertex
+    and per-colour counters and reachability bitmasks for the current state
+    and updates them when a branch takes an edge, undoing the update when
+    the branch returns (see _search_root).
     """
     n = g.n
     _check_root(n, root)
@@ -448,7 +439,7 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     """One-sided constructive attempt, fast at process scale.
 
     Pipeline: (1) find an injective colour assignment f on V \\ {root};
-    (2) reserve the spare pool, every colour outside the image of f;
+    (2) treat every colour outside the image of f as spare;
     (3) materialise one in-edge per vertex in colour f(v), preferring
     tails already connected to the root, which leaves the root's
     arborescence plus unicyclic leftover components; (4) grow the root
@@ -467,7 +458,7 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     if assignment is None:
         return HeuristicOutcome(None, failure_reason="no injective colour assignment")
     f = assignment.mapping
-    spare_pool = set(range(g.colour_count)) - set(f.values())
+    image = set(f.values())
 
     # Materialise: earliest in-edge in colour f(v) whose tail is already
     # connected to the root; repeat passes while the connected set grows.
@@ -511,7 +502,7 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
                 if e == chosen[v] or e.tail not in in_root:
                     continue
                 c = e.colour
-                if c == own or (c in spare_pool and c not in used):
+                if c == own or (c not in image and c not in used):
                     taken = e
                     break
             if taken is None:
@@ -536,12 +527,12 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
         return HeuristicOutcome(
             None,
             unrepaired_components=_count_cycles(chosen, outside),
-            spare_colours_left=len(spare_pool - used),
+            spare_colours_left=g.colour_count - len(image | used),
             failure_reason="unrepairable components",
         )
     cert = ArborescenceCertificate(root, dict(chosen))
     assert verify_certificate(g, cert), "heuristic produced an invalid certificate"
-    return HeuristicOutcome(cert, spare_colours_left=len(spare_pool - used))
+    return HeuristicOutcome(cert, spare_colours_left=g.colour_count - len(image | used))
 
 
 def _count_cycles(chosen: dict[int, ColouredEdge], outside: list[int]) -> int:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from arborsim.digraph import (
@@ -8,6 +10,7 @@ from arborsim.digraph import (
     reachable_from,
     spanning_roots,
 )
+from arborsim.process import ProcessConfig, ProcessTrace
 from arborsim.rng import SplitMix64
 from helpers import graph_from_edges, random_graph
 
@@ -72,20 +75,46 @@ def test_arborescence_examples():
     assert any(len(reachable_from(cycle, {r})) == 3 for r in range(3))
 
 
+def _check_roots_by_definition(g) -> bool:
+    n = g.n
+    roots = [r for r in range(n) if len(reachable_from(g, {r})) == n]
+    assert spanning_roots(g) == roots
+    got, root = has_spanning_arborescence(g)
+    assert got == bool(roots)
+    assert root == (roots[0] if roots else None)
+    return got
+
+
 def test_arborescence_matches_reachability_exhaustively():
     rng = SplitMix64(17)
+    branches = Counter()
     for _ in range(400):
-        n = 2 + rng.below(7)
+        n = 1 + rng.below(8)
         m = rng.below(n * (n - 1) + 1)
         g = random_graph(rng, n, 3, m)
-        expected = any(len(reachable_from(g, {r})) == n for r in range(n))
-        got, root = has_spanning_arborescence(g)
-        assert got == expected
-        if got:
-            assert len(reachable_from(g, {root})) == n
-        roots = [r for r in range(n) if len(reachable_from(g, {r})) == n]
-        assert spanning_roots(g) == roots
-        assert root == (roots[0] if roots else None)
+        if rng.below(2):
+            # no edge joins [0, k) and [k, n), so no vertex reaches across:
+            # no root, even when every in-degree is positive
+            k = rng.below(n)
+            g = graph_from_edges(n, 3, [e for e in g.edges if (e.tail < k) == (e.head < k)])
+        # the root rule's branches: n = 1, or zero-in count 0, 1 and >= 2
+        branch = "n=1" if n == 1 else min(g.zero_in_count, 2)
+        branches[branch, _check_roots_by_definition(g)] += 1
+    assert set(branches) == {
+        ("n=1", True), (0, True), (0, False), (1, True), (1, False), (2, False)
+    }, branches
+    # process-scale prefixes: at m_Z one in-degree-zero vertex is left, and
+    # 400 edges later none is
+    for seed in (1, 2, 3):
+        g = ColouredDigraph(200, 1)
+        edges = ProcessTrace(ProcessConfig(200, 1, seed)).edges()
+        while g.zero_in_count > 1:
+            g.add_edge(next(edges))
+        _check_roots_by_definition(g)
+        for _ in range(400):
+            g.add_edge(next(edges))
+        assert g.zero_in_count == 0
+        _check_roots_by_definition(g)
 
 
 def test_arborescence_monotone_under_additions():

@@ -57,9 +57,13 @@ def test_reports_reproducible_and_parseable():
 
 
 def test_threads_do_not_change_output():
-    a = run_mapping_experiment(60, 30, seed=3, threads=1)
-    b = run_mapping_experiment(60, 30, seed=3, threads=2)
-    assert a.to_csv() == b.to_csv()
+    runs = (
+        lambda threads: run_mapping_experiment(60, 30, seed=3, threads=threads),
+        lambda threads: run_theorem_experiment(12, 20, seed=3, threads=threads),
+        lambda threads: run_poisson_experiment(300, 0.5, 20, seed=3, threads=threads),
+    )
+    for run in runs:
+        assert run(1).to_csv() == run(2).to_csv()
 
 
 def test_summaries_recomputable_from_rows():
