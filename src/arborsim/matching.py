@@ -18,7 +18,6 @@ from arborsim.digraph import ColouredDigraph, ColouredEdge
 @dataclass
 class ColourBipartiteGraph:
     n: int
-    colour_count: int
     adjacency: list[list[int]]  # per vertex, sorted distinct colours on its in-edges
 
 
@@ -36,7 +35,7 @@ class KWitness:
 
 def build_colour_bigraph(g: ColouredDigraph) -> ColourBipartiteGraph:
     adjacency = [sorted({e.colour for e in g.in_edges[v]}) for v in range(g.n)]
-    return ColourBipartiteGraph(g.n, g.colour_count, adjacency)
+    return ColourBipartiteGraph(g.n, adjacency)
 
 
 def _maximum_matching(

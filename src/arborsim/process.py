@@ -4,17 +4,14 @@ A trace is a uniform random permutation of all N = n(n-1) ordered pairs
 plus i.i.d. uniform colours, fully determined by (n, colour count, seed).
 Edge order and colours come from independent substreams, so a prefix can be
 streamed (sparse partial Fisher-Yates, O(prefix) memory) with or without
-drawing the colours, without perturbing anything else. A trace caches the
-coloured edges it has streamed and streams further only when a caller reads
-past the end of that cache, so reading the first m edges costs m draws per
-stream however often they are read.
+drawing the colours, without perturbing anything else. A trace holds no
+edges: every read of a prefix streams it afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import IO, Iterator
 
 from arborsim import edgelist
@@ -91,8 +88,6 @@ class ProcessTrace:
         self.total_edges = config.n * (config.n - 1)
         self._edge_seed = derive_stream_seed(config.master_seed, EDGE_STREAM)
         self._colour_seed = derive_stream_seed(config.master_seed, COLOUR_STREAM)
-        self._cache: list[ColouredEdge] = []
-        self._stream = self.prefix(self.total_edges)  # draws only when pulled
 
     def prefix_pairs(self, m: int) -> Iterator[tuple[int, int]]:
         """First m (tail, head) pairs of the permutation, colour stream untouched."""
@@ -120,34 +115,19 @@ class ProcessTrace:
             yield crng.below(w)
 
     def prefix(self, m: int) -> Iterator[ColouredEdge]:
+        """First m coloured edges: prefix_pairs zipped with prefix_colours."""
         pairs = self.prefix_pairs(m)
         colours = self.prefix_colours(m)
         for (tail, head), colour in zip(pairs, colours):
             yield ColouredEdge(tail, head, colour)
 
-    def edges(self) -> Iterator[ColouredEdge]:
-        """All n(n-1) coloured edges in order, read through the prefix cache.
-
-        An edge is streamed from prefix() and cached when it is first
-        reached, so a consumer that stops early draws nothing beyond it.
-        """
-        cache = self._cache
-        for k in range(self.total_edges):
-            if k == len(cache):
-                cache.append(next(self._stream))
-            yield cache[k]
-
     def materialize(self) -> list[ColouredEdge]:
-        """All n(n-1) coloured edges: the prefix cache, streamed to the end."""
-        for _ in self.edges():
-            pass
-        return self._cache
+        """All n(n-1) coloured edges in process order."""
+        return list(self.prefix(self.total_edges))
 
     def graph_at(self, m: int) -> ColouredDigraph:
-        if not 0 <= m <= self.total_edges:
-            raise ValueError(f"prefix length {m} outside [0, {self.total_edges}]")
         g = ColouredDigraph(self.n, self.colour_count)
-        for e in islice(self.edges(), m):
+        for e in self.prefix(m):
             g.add_edge(e)
         return g
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
 from arborsim.matching import (
@@ -53,7 +53,6 @@ class DecideResult:
     outcome: str  # "found" | "not_found" | "unknown"
     certificate: ArborescenceCertificate | None = None
     decided_by: str = "exact"  # "oracle" | "exact" | "heuristic"
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _check_root(n: int, root: int | None) -> None:
@@ -590,35 +589,17 @@ def decide(
             "found" if cert else "not_found", cert, decided_by="oracle"
         )
 
-    heuristic_failures = 0
     if mode in ("heuristic", "auto"):
         for r in _heuristic_roots(g, root):
             outcome = heuristic_construct(g, r)
             if outcome.success:
-                return DecideResult(
-                    "found",
-                    outcome.certificate,
-                    decided_by="heuristic",
-                    diagnostics={"heuristic_failures": heuristic_failures},
-                )
-            heuristic_failures += 1
+                return DecideResult("found", outcome.certificate, decided_by="heuristic")
         if mode == "heuristic":
-            return DecideResult(
-                "not_found",
-                decided_by="heuristic",
-                diagnostics={"heuristic_failures": heuristic_failures},
-            )
+            return DecideResult("not_found", decided_by="heuristic")
 
     deadline = None if budget_s is None else time.monotonic() + budget_s
     try:
         cert = decide_exact(g, root=root, deadline=deadline)
     except BudgetExceededError:
-        return DecideResult(
-            "unknown", decided_by="exact", diagnostics={"heuristic_failures": heuristic_failures}
-        )
-    return DecideResult(
-        "found" if cert else "not_found",
-        cert,
-        decided_by="exact",
-        diagnostics={"heuristic_failures": heuristic_failures},
-    )
+        return DecideResult("unknown", decided_by="exact")
+    return DecideResult("found" if cert else "not_found", cert, decided_by="exact")

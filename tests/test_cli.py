@@ -208,7 +208,7 @@ def capture_exact_decisions(tmp_path):
     for n, seed, heads_needed in EXACT_CASES:
         trace = ProcessTrace(ProcessConfig(n, "auto", seed))
         colours, heads, edges = set(), set(), []
-        for e in trace.edges():
+        for e in trace.prefix(trace.total_edges):
             edges.append(e)
             colours.add(e.colour)
             heads.add(e.head)

@@ -126,13 +126,34 @@ def test_gallop_finds_least_true_with_few_nearby_probes():
                 assert probes == [lo]
 
 
+class CountingTrace(ProcessTrace):
+    """A trace that counts the edges pulled through prefix()."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.streamed = 0
+
+    def prefix(self, m):
+        for e in super().prefix(m):
+            self.streamed += 1
+            yield e
+
+
 def test_hitting_times_streams_a_short_prefix():
-    trace = generate_trace(ProcessConfig(1000, "auto", derive_trial_seed(3, 0)))
+    trace = CountingTrace(ProcessConfig(1000, "auto", derive_trial_seed(3, 0)))
     ht = hitting_times(trace)
     assert ht.m_r is not None and ht.r_decision_mode == "exact"
-    streamed = len(trace._cache)
-    assert streamed >= max(ht.m_c, ht.m_z, ht.m_a, ht.m_r)
-    assert streamed < trace.total_edges // 50
+    assert trace.streamed >= max(ht.m_c, ht.m_z, ht.m_a, ht.m_r)
+    assert trace.streamed < trace.total_edges // 50
+
+
+def test_exact_mode_keeps_the_certificate_found_at_m_z():
+    # The backtracking search spends any budget at m_Z on this graph, where
+    # the heuristic builds a rainbow arborescence at once.
+    trace = ProcessTrace(ProcessConfig(200, "auto", 593811783419356995))
+    ht = hitting_times(trace, "exact", budget_s=0.5)
+    assert ht.m_r == ht.m_z == 771
+    assert ht.r_decision_mode == "exact" and ht.heuristic_at_z
 
 
 def test_ordering_chain():

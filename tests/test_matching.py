@@ -12,8 +12,8 @@ from arborsim.rng import SplitMix64
 from helpers import graph_from_edges, random_graph
 
 
-def bigraph(n, w, adjacency):
-    return ColourBipartiteGraph(n, w, [sorted(a) for a in adjacency])
+def bigraph(n, adjacency):
+    return ColourBipartiteGraph(n, [sorted(a) for a in adjacency])
 
 
 def brute_force_assignment_exists(b, root):
@@ -41,14 +41,14 @@ def test_build_colour_bigraph_examples():
 
 
 def test_assignment_unique_matching():
-    b = bigraph(3, 2, [[], [0], [1]])
+    b = bigraph(3, [[], [0], [1]])
     a = find_colour_assignment(b, 0)
     assert a is not None and a.mapping == {1: 0, 2: 1}
     assert find_k_witness(b, 0) is None
 
 
 def test_assignment_hall_violation():
-    b = bigraph(3, 1, [[], [0], [0]])
+    b = bigraph(3, [[], [0], [0]])
     assert find_colour_assignment(b, 0) is None
     w = find_k_witness(b, 0)
     assert w is not None
@@ -168,7 +168,7 @@ def test_minimal_witness_edge_bound():
 
 
 def test_root_validation():
-    b = bigraph(3, 2, [[0], [0], [1]])
+    b = bigraph(3, [[0], [0], [1]])
     with pytest.raises(ValueError):
         find_colour_assignment(b, 3)
     with pytest.raises(ValueError):
