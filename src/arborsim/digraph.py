@@ -122,8 +122,6 @@ def spanning_roots(g: ColouredDigraph) -> list[int]:
     it, found by one closure over reversed edges.
     """
     n = g.n
-    if n == 1:
-        return [0]
     if g.zero_in_count >= 2:
         return []  # two in-degree-zero vertices can never both be reached
     out = g.out_heads

@@ -18,10 +18,6 @@ def dump(n: int, colour_count: int, edges: Iterable[ColouredEdge], fh: IO[str]) 
         fh.write(f"{e.tail + 1} {e.head + 1} {e.colour + 1}\n")
 
 
-def dump_graph(g: ColouredDigraph, fh: IO[str]) -> None:
-    dump(g.n, g.colour_count, g.edges, fh)
-
-
 def load(fh: IO[str]) -> ColouredDigraph:
     header: tuple[int, int] | None = None
     g: ColouredDigraph | None = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from typing import Callable, Sequence
 
 from arborsim.hitting import hitting_times
 from arborsim.mappings import cycle_components, epidemic_spread, loop_count, sample_mapping
@@ -65,9 +65,6 @@ class ExperimentReport:
         for key, value in self.summary.items():
             lines.append(f"# summary.{key}={_fmt(value)}")
         return "\n".join(lines) + "\n"
-
-    def write(self, fh: IO[str]) -> None:
-        fh.write(self.to_csv())
 
 
 def parse_report_csv(text: str) -> ExperimentReport:

@@ -73,16 +73,10 @@ def pair_from_index(n: int, k: int) -> tuple[int, int]:
     return tail, head
 
 
-def index_of_pair(n: int, tail: int, head: int) -> int:
-    off = head if head < tail else head - 1
-    return tail * (n - 1) + off
-
-
 class ProcessTrace:
     """One trial's full randomness; a pure function of its config."""
 
     def __init__(self, config: ProcessConfig):
-        self.config = config
         self.n = config.n
         self.colour_count = config.resolved_colour_count
         self.total_edges = config.n * (config.n - 1)

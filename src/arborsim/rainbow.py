@@ -38,9 +38,13 @@ class ArborescenceCertificate:
 
 @dataclass
 class HeuristicOutcome:
+    """A heuristic attempt: a verified certificate, or why none was built.
+
+    failure_reason is None on success, else "no injective colour
+    assignment" or "unrepairable components" (see heuristic_construct).
+    """
+
     certificate: ArborescenceCertificate | None
-    unrepaired_components: int = 0
-    spare_colours_left: int = 0
     failure_reason: str | None = None
 
     @property
@@ -400,11 +404,13 @@ def decide_exact(
 
     Only candidate roots can carry a rainbow arborescence: those that reach
     every vertex and leave V \\ {root} an injective colour assignment (see
-    _candidate_roots); a given root is searched only if it is one. They are
-    computed once, and both exact algorithms search from them alone. When
-    few colours collide, colour enumeration fixes one surviving edge per
-    colliding colour class and looks for a spanning out-tree from a
-    candidate root among the survivors. Otherwise backtracking grows the
+    _candidate_roots); a given root is searched only if it is one. Fewer
+    than n - 1 colours leave no candidate root, and n = 1 leaves the root 0,
+    whose certificate is empty. The roots are computed once, and both exact
+    algorithms search from them alone. When few colours collide, colour
+    enumeration fixes one surviving edge per colliding colour class and
+    looks for a spanning out-tree from a candidate root among the
+    survivors. Otherwise backtracking grows the
     tree outward from each candidate root in increasing (in-degree, v)
     order, branching on every frontier-crossing edge with an unused colour.
     Failed (vertex set, colour set) states are memoised: whether a partial
@@ -415,12 +421,7 @@ def decide_exact(
     and updates them when a branch takes an edge, undoing the update when
     the branch returns (see _search_root).
     """
-    n = g.n
-    _check_root(n, root)
-    if n == 1:
-        return ArborescenceCertificate(0, {})
-    if g.distinct_colours < n - 1:
-        return None
+    _check_root(g.n, root)
     roots = _candidate_roots(g, root)
     if not roots:
         return None
@@ -447,11 +448,11 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     a re-pointed vertex brings its whole subtree across, and a re-pointed
     cycle vertex brings its whole component (the cycle breaks there);
     (5) iterate to a fixpoint. Success returns a verified certificate;
-    failure proves nothing.
+    failure proves nothing. It fails with "no injective colour assignment"
+    when step (1) finds none, and with "unrepairable components" when the
+    fixpoint leaves some vertex outside the root component.
     """
     n = g.n
-    if n == 1:
-        return HeuristicOutcome(ArborescenceCertificate(0, {}))
     bigraph = build_colour_bigraph(g)
     assignment = find_colour_assignment(bigraph, root)
     if assignment is None:
@@ -522,32 +523,10 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
             progress = True
 
     if len(in_root) < n:
-        outside = [v for v in range(n) if v not in in_root]
-        return HeuristicOutcome(
-            None,
-            unrepaired_components=_count_cycles(chosen, outside),
-            spare_colours_left=g.colour_count - len(image | used),
-            failure_reason="unrepairable components",
-        )
+        return HeuristicOutcome(None, failure_reason="unrepairable components")
     cert = ArborescenceCertificate(root, dict(chosen))
     assert verify_certificate(g, cert), "heuristic produced an invalid certificate"
-    return HeuristicOutcome(cert, spare_colours_left=g.colour_count - len(image | used))
-
-
-def _count_cycles(chosen: dict[int, ColouredEdge], outside: list[int]) -> int:
-    """Number of leftover unicyclic components among the outside vertices."""
-    seen: dict[int, int] = {}
-    cycles = 0
-    for s in outside:
-        if s in seen:
-            continue
-        v = s
-        while v not in seen:
-            seen[v] = s
-            v = chosen[v].tail
-        if seen[v] == s:
-            cycles += 1
-    return cycles
+    return HeuristicOutcome(cert)
 
 
 _HEURISTIC_TRIES = 3
@@ -578,9 +557,9 @@ def decide(
         raise ValueError(f"unknown decision mode {mode!r}")
     n = g.n
     _check_root(n, root)
-    if n > 1 and g.zero_in_count >= 2:
+    if g.zero_in_count >= 2:
         return DecideResult("not_found", decided_by="exact")
-    if n > 1 and g.distinct_colours < n - 1:
+    if g.distinct_colours < n - 1:
         return DecideResult("not_found", decided_by="exact")
 
     if mode == "oracle":

@@ -14,7 +14,7 @@ def test_round_trip():
         n = 2 + rng.below(8)
         g = random_graph(rng, n, 4, rng.below(n * (n - 1) + 1))
         buf = io.StringIO()
-        edgelist.dump_graph(g, buf)
+        edgelist.dump(g.n, g.colour_count, g.edges, buf)
         g2 = edgelist.load(io.StringIO(buf.getvalue()))
         assert g2.n == g.n and g2.colour_count == g.colour_count
         assert g2.edges == g.edges

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge
+from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
 from arborsim.rainbow import (
     ArborescenceCertificate,
     BudgetExceededError,
@@ -73,10 +73,30 @@ def test_oracle_guard():
 def test_exact_fast_paths():
     g = graph_from_edges(4, 2, [(0, 1, 0), (0, 2, 0), (0, 3, 1)])
     assert g.distinct_colours < 3
-    assert decide_exact(g) is None  # fewer than n-1 colours present
+    # fewer than n-1 colours present: no root has an injective colour
+    # assignment, so _candidate_roots is empty
+    assert decide_exact(g) is None
     star = graph_from_edges(4, 4, [(0, 1, 0), (0, 2, 1), (0, 3, 2)])
     cert = decide_exact(star)
     assert cert is not None and cert.root == 0
+
+
+def test_single_vertex_graph():
+    g = ColouredDigraph(1, 2)
+    empty = ArborescenceCertificate(0, {})
+    expected_by = {"oracle": "oracle", "exact": "exact",
+                   "heuristic": "heuristic", "auto": "heuristic"}
+    for mode, decided_by in expected_by.items():
+        for root in (None, 0):
+            result = decide(g, mode=mode, root=root)
+            assert result.outcome == "found"
+            assert result.certificate == empty
+            assert result.decided_by == decided_by
+    assert decide_exact(g) == empty
+    assert decide_exact(g, 0) == empty
+    out = heuristic_construct(g, 0)
+    assert out.success and out.certificate == empty
+    assert spanning_roots(g) == [0]
 
 
 def test_exact_matches_oracle_randomized():
@@ -179,6 +199,15 @@ def test_heuristic_reports_missing_assignment():
     out = heuristic_construct(g, 0)
     assert not out.success
     assert out.failure_reason == "no injective colour assignment"
+
+
+def test_heuristic_reports_unrepairable_components():
+    # V \ {1} has the assignment 0 -> 2, 2 -> 0, but root 1 reaches nothing
+    g = graph_from_edges(3, 3, [(2, 0, 2), (0, 2, 0)])
+    out = heuristic_construct(g, 1)
+    assert not out.success
+    assert out.failure_reason == "unrepairable components"
+    assert decide_exact(g, root=1) is None
 
 
 def test_heuristic_one_sided_and_sound():
