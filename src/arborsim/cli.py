@@ -211,9 +211,10 @@ def _cmd_hitting_times(args) -> int:
             return str(value)
         return str(last) if args.undefined_as_last_step else "NA"
 
+    m_r = "NA" if ht.r_decision_mode == "unknown" else show(ht.m_r)  # unknown, not undefined
     text = ("# n,W,seed,m_C,m_Z,m_A,m_R,r_decision_mode\n"
             f"{trace.n},{trace.colour_count},{args.seed},{show(ht.m_c)},"
-            f"{ht.m_z},{ht.m_a},{show(ht.m_r)},{ht.r_decision_mode}\n")
+            f"{ht.m_z},{ht.m_a},{m_r},{ht.r_decision_mode}\n")
     return _emit(text, args.out)
 
 

@@ -147,7 +147,6 @@ def spanning_roots(g: ColouredDigraph) -> list[int]:
     return sorted(forward_closure(tails, (last,)))
 
 
-def has_spanning_arborescence(g: ColouredDigraph) -> tuple[bool, int | None]:
-    """Whether some vertex reaches every vertex, plus the lowest such root."""
-    roots = spanning_roots(g)
-    return (True, roots[0]) if roots else (False, None)
+def has_spanning_arborescence(g: ColouredDigraph) -> bool:
+    """Whether some vertex reaches every vertex (see spanning_roots)."""
+    return bool(spanning_roots(g))

@@ -14,8 +14,9 @@ graph, then bisection of the last bracket; a probe below the grown graph is
 rebuilt from that graph's own edges, so no prefix edge is drawn twice. Z and
 A always happen; C and R can fail to ever happen, in which case their times
 are reported as undefined (None) rather than clamped to the last step. The
-constructive heuristic runs once, at m_Z; its success settles m_R = m_Z in
-auto and exact modes; in heuristic mode it is the answer.
+constructive heuristic runs once, at m_Z, from the one vertex of in-degree
+zero there, which is the only possible root; its success settles m_R = m_Z
+in auto and exact modes; in heuristic mode it is the answer.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import islice
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.process import ProcessTrace
-from arborsim.rainbow import BudgetExceededError, decide
+from arborsim.rainbow import BudgetExceededError, decide, heuristic_construct
 
 R_MODES = ("oracle", "exact", "heuristic", "auto")
 
@@ -53,7 +54,7 @@ def event_holds(g: ColouredDigraph, event: str, mode: str = "auto",
     if event == "Z":
         return g.zero_in_count <= 1
     if event == "A":
-        return has_spanning_arborescence(g)[0]
+        return has_spanning_arborescence(g)
     if event == "R":
         result = decide(g, mode=mode, budget_s=budget_s)
         if result.outcome == "unknown":
@@ -103,7 +104,8 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     last bracket on graphs rebuilt from the first edges of the grown one.
 
     R needs C and A, so the heuristic runs once, at m_Z, only when
-    max(m_A, m_C) = m_Z (on the grown graph itself); heuristic_at_z is its
+    max(m_A, m_C) = m_Z (on the grown graph itself), from its one vertex
+    of in-degree zero, the only possible root; heuristic_at_z is its
     verdict. Heuristic mode stops there (m_r is m_z or unknown), since
     one-sided decisions cannot drive a sound search. Auto and exact stop on
     success, since a verified certificate at the lower bound m_Z is exact;
@@ -144,7 +146,7 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
         return g
 
     def arb_at(m: int) -> bool:
-        return has_spanning_arborescence(graph(m))[0]
+        return has_spanning_arborescence(graph(m))
 
     m_a = gallop(m_z, total, arb_at)
     assert m_a is not None  # the complete digraph has a spanning arborescence
@@ -153,7 +155,10 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
         # Fewer than n-1 colours ever appear, so R never happens either.
         return HittingTimes(None, m_z, m_a, None, "exact", False)
 
-    at_z = max(m_a, m_c) == m_z and decide(graph(m_z), "heuristic").outcome == "found"
+    at_z = False
+    if max(m_a, m_c) == m_z:
+        h = graph(m_z)
+        at_z = heuristic_construct(h, h.in_deg.index(0)).success
     if r_mode == "heuristic":
         if at_z:
             return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified", True)

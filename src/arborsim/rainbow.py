@@ -115,8 +115,6 @@ def brute_force_oracle(
     from itertools import product
 
     n = g.n
-    if n == 1:
-        return ArborescenceCertificate(0, {})
     deferred = False
     roots = range(n) if root is None else [root]
     for root in roots:
@@ -146,8 +144,8 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
     V \\ {root} has an injective colour assignment (assignment_roots, one
     maximum matching for every root at once). A given root is kept only if
     it qualifies. No other root carries a rainbow arborescence, so colour
-    enumeration and backtracking both search from these roots alone, and
-    an empty list means there is none.
+    enumeration, backtracking and the heuristic (in decide) all start from
+    these roots alone, and an empty list means there is none.
     """
     usable = assignment_roots(build_colour_bigraph(g)).intersection(spanning_roots(g))
     if root is not None:
@@ -532,15 +530,6 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
 _HEURISTIC_TRIES = 3
 
 
-def _heuristic_roots(g: ColouredDigraph, root: int | None) -> list[int]:
-    if root is not None:
-        return [root]
-    if g.zero_in_count == 1:
-        return [g.in_deg.index(0)]
-    order = sorted(range(g.n), key=lambda v: (g.in_deg[v], v))
-    return order[:_HEURISTIC_TRIES]
-
-
 def decide(
     g: ColouredDigraph,
     mode: str = "auto",
@@ -550,8 +539,11 @@ def decide(
     """Unified entry point for the three solvers.
 
     oracle / exact are two-sided; heuristic is one-sided (not_found means
-    "no certificate constructed"). auto runs the heuristic as a fast accept
-    path and falls back to the exact search, so it stays two-sided.
+    "no certificate constructed"). heuristic and auto run the heuristic from
+    the first _HEURISTIC_TRIES candidate roots, the ones the exact search
+    would try first (see _candidate_roots), and skip it when there are
+    none. auto uses it as a fast accept path and falls back to the exact
+    search, so it stays two-sided.
     """
     if mode not in ("oracle", "exact", "heuristic", "auto"):
         raise ValueError(f"unknown decision mode {mode!r}")
@@ -569,7 +561,7 @@ def decide(
         )
 
     if mode in ("heuristic", "auto"):
-        for r in _heuristic_roots(g, root):
+        for r in _candidate_roots(g, root)[:_HEURISTIC_TRIES]:
             outcome = heuristic_construct(g, r)
             if outcome.success:
                 return DecideResult("found", outcome.certificate, decided_by="heuristic")

@@ -40,8 +40,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exactly unbiased (rejection sampling)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
         if bound & (bound - 1) == 0:
             return self.next_u64() & (bound - 1)
         limit = (1 << 64) - ((1 << 64) % bound)

@@ -100,6 +100,17 @@ def test_seed_outside_64_bits_is_usage_error():
     assert code == 0 and f",{2**64 - 1}," in out
 
 
+def test_ranges_wider_than_64_bits_are_one_line_errors():
+    # more than 2^64 vertex pairs, or mapping points, cannot be sampled by
+    # one 64-bit draw, so these stop at once instead of drawing forever
+    for argv in (["simulate", "--n", "5000000000", "--m", "1"],
+                 ["mapping", "--n", "40000000000000000000", "--samples", "1",
+                  "--threads", "1"]):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("arborsim: ") and err.count("\n") == 1
+
+
 def test_theorem_check_at_n1000():
     code, out, err = run_cli(["experiment", "theorem", "--n", "1000", "--trials", "3",
                               "--threads", "1", "--check"])
@@ -151,6 +162,12 @@ def test_hitting_times_undefined_and_convention():
                             "--seed", "5", "--undefined-as-last-step"])
     fields = out.strip().splitlines()[-1].split(",")
     assert fields[3] == fields[6] == "6"  # n(n-1) = 6
+    # an unknown m_R is not an undefined one: it stays NA under the flag
+    code, out, _ = run_cli(["hitting-times", "--n", "25", "--colours", "25",
+                            "--seed", "3", "--r-mode", "exact", "--budget-ms", "0",
+                            "--undefined-as-last-step"])
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "25,25,3,69,75,75,NA,unknown"
 
 
 def test_decide_found(tmp_path):

@@ -65,12 +65,13 @@ def test_reachable_from_examples():
 
 def test_arborescence_examples():
     g = graph_from_edges(2, 1, [(0, 1, 0)])
-    assert has_spanning_arborescence(g) == (True, 0)
+    assert has_spanning_arborescence(g) is True
+    assert spanning_roots(g) == [0]
     g = graph_from_edges(3, 1, [(0, 1, 0)])
-    assert has_spanning_arborescence(g)[0] is False
+    assert has_spanning_arborescence(g) is False
     cycle = graph_from_edges(3, 1, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
-    ok, root = has_spanning_arborescence(cycle)
-    assert ok and root in {0, 1, 2}
+    assert has_spanning_arborescence(cycle) is True
+    assert spanning_roots(cycle) == [0, 1, 2]
     # brute-force cross-check: some root reaches everything
     assert any(len(reachable_from(cycle, {r})) == 3 for r in range(3))
 
@@ -79,9 +80,8 @@ def _check_roots_by_definition(g) -> bool:
     n = g.n
     roots = [r for r in range(n) if len(reachable_from(g, {r})) == n]
     assert spanning_roots(g) == roots
-    got, root = has_spanning_arborescence(g)
-    assert got == bool(roots)
-    assert root == (roots[0] if roots else None)
+    got = has_spanning_arborescence(g)
+    assert got is bool(roots)
     return got
 
 
@@ -123,11 +123,11 @@ def test_arborescence_monotone_under_additions():
     for _ in range(100):
         n = 3 + rng.below(5)
         g = random_graph(rng, n, 3, n * (n - 1) // 2)
-        if not has_spanning_arborescence(g)[0]:
+        if not has_spanning_arborescence(g):
             continue
         for t in range(n):
             for h in range(n):
                 if t != h and not g.has_edge(t, h):
                     g.add_edge(ColouredEdge(t, h, 0))
-                    assert has_spanning_arborescence(g)[0]
+                    assert has_spanning_arborescence(g)
                     break

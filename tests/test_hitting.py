@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
-from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
+from arborsim.hitting import R_MODES, HittingTimes, event_holds, gallop, hitting_times
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
 from arborsim.rainbow import brute_force_oracle, decide
 from arborsim.rng import SplitMix64, derive_trial_seed
@@ -25,7 +25,7 @@ def linear_scan_hitting_times(trace):
             m_c = m
         if m_z is None and g.zero_in_count <= 1:
             m_z = m
-        if m_a is None and has_spanning_arborescence(g)[0]:
+        if m_a is None and has_spanning_arborescence(g):
             m_a = m
         if m_r is None and brute_force_oracle(g) is not None:
             m_r = m
@@ -197,6 +197,26 @@ def test_heuristic_mode_is_one_sided():
             assert ht.m_r is None
             unknown += 1
     assert certified > 0
+
+
+def test_heuristic_at_z_is_decide_at_m_z_in_every_mode():
+    # hitting_times starts the heuristic at the one in-degree-zero vertex
+    # instead of calling decide; at m_Z that is the only candidate root
+    rng = SplitMix64(4242)
+    verdicts = set()
+    for trial in range(80):
+        n = 2 + rng.below(6)  # n in [2, 7], small enough for the oracle
+        w = n - 1 + rng.below(n + 1)
+        trace = ProcessTrace(ProcessConfig(n, w, derive_trial_seed(16, trial)))
+        for mode in R_MODES:
+            ht = hitting_times(trace, r_mode=mode, budget_s=None)
+            expected = decide(trace.graph_at(ht.m_z), "heuristic").outcome == "found"
+            if ht.m_c is not None and max(ht.m_a, ht.m_c) == ht.m_z:
+                assert ht.heuristic_at_z == expected, (n, w, trial, mode)
+                verdicts.add(expected)
+            else:  # C or A fails at m_Z, so R does too
+                assert not ht.heuristic_at_z and not expected
+    assert verdicts == {True, False}
 
 
 def test_golden_hitting_times_validated_by_oracle():

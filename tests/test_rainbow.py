@@ -12,6 +12,7 @@ from arborsim.rainbow import (
     decide,
     decide_exact,
     heuristic_construct,
+    _candidate_roots,
     _search_root,
     verify_certificate,
 )
@@ -260,6 +261,44 @@ def test_decide_modes_agree():
         if heur.outcome == "found":
             assert exact.outcome == "found"
             assert verify_certificate(g, heur.certificate)
+
+
+def test_heuristic_starts_from_the_leading_candidate_roots():
+    # heuristic and auto try the first three roots the exact search would
+    # try, in its order, and answer with the first that succeeds
+    rng = SplitMix64(1618)
+    certified = 0
+    for _ in range(300):
+        n = 2 + rng.below(9)  # n in [2, 10]
+        w = n - 1 + rng.below(4)
+        g = random_graph(rng, n, w, n - 1 + rng.below(n * (n - 2) + 2))
+        for root in (None, *range(n)):
+            tries = _candidate_roots(g, root)[:3]
+            first = next((r for r in tries if heuristic_construct(g, r).success), None)
+            for mode in ("heuristic", "auto"):
+                result = decide(g, mode=mode, root=root, budget_s=None)
+                if result.decided_by == "heuristic" and result.outcome == "found":
+                    certified += 1
+                    assert result.certificate.root == first  # one of tries
+                else:
+                    assert first is None
+    assert certified > 0
+
+
+def test_heuristic_reaches_a_candidate_root_past_the_lowest_in_degrees():
+    # No in-degree-zero vertex. The three lowest (in-degree, v) vertices
+    # are 1, 4 and 0; the heuristic fails from each, and 4 and 0 are no
+    # candidate roots. Candidate root 2 carries the heuristic's certificate.
+    g = graph_from_edges(5, 5, [
+        (1, 4, 0), (4, 2, 2), (4, 3, 0), (4, 0, 2), (2, 0, 0), (2, 3, 3), (2, 1, 2),
+        (1, 3, 4), (3, 2, 2), (2, 4, 4), (3, 0, 2), (3, 1, 2), (0, 2, 2)])
+    assert g.zero_in_count == 0 and g.in_deg == [3, 2, 3, 3, 2]
+    assert _candidate_roots(g, None) == [1, 2]
+    assert not any(heuristic_construct(g, r).success for r in (1, 4, 0))
+    for mode in ("heuristic", "auto"):
+        result = decide(g, mode=mode)
+        assert (result.outcome, result.decided_by) == ("found", "heuristic")
+        assert result.certificate.root == 2
 
 
 def test_decide_two_zero_in_degree_vertices():

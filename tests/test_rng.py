@@ -33,6 +33,15 @@ def test_below_range_and_coverage():
         rng.below(0)
 
 
+def test_below_bound_is_at_most_2_64():
+    # one 64-bit draw per try cannot cover a wider range, so larger bounds
+    # are rejected instead of sampled forever
+    assert SplitMix64(7).below(2**64) == SplitMix64(7).next_u64()
+    for bound in (2**64 + 1, 2**65):
+        with pytest.raises(ValueError):
+            SplitMix64(7).below(bound)
+
+
 def test_below_is_roughly_uniform():
     rng = SplitMix64(11)
     counts = [0] * 5
