@@ -1,5 +1,8 @@
+import hashlib
 import io
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -71,6 +74,14 @@ def test_trace_determinism_byte_identical():
 
     assert export(123) == export(123)
     assert export(123) != export(124)
+
+
+def test_trace_exports_match_golden_digests():
+    table = json.loads((pathlib.Path(__file__).parent / "golden" / "streams.json").read_text())
+    for ref in table["trace_exports"]:
+        buf = io.StringIO()
+        generate_trace(ProcessConfig(ref["n"], ref["colours"], ref["seed"])).export(buf, ref["m"])
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == ref["sha256"], ref
 
 
 def test_prefix_streams_agree_with_materialize():

@@ -15,6 +15,20 @@ def test_mix64_is_64_bit_and_deterministic():
     assert len(set(xs)) == len(xs)
 
 
+def test_raw_streams_match_golden_table():
+    # SplitMix64(0) opens with the published reference outputs; the below
+    # draws at 2^63 + 1 reject about half their tries, and next_u64_after
+    # pins how many 64-bit outputs those 50 draws consumed
+    table = json.loads((GOLDEN / "streams.json").read_text())
+    ref = table["next_u64"]
+    rng = SplitMix64(ref["seed"])
+    assert [f"0x{rng.next_u64():016x}" for _ in ref["values"]] == ref["values"]
+    ref = table["below"]
+    rng = SplitMix64(ref["seed"])
+    assert [rng.below(ref["bound"]) for _ in ref["values"]] == ref["values"]
+    assert f"0x{rng.next_u64():016x}" == ref["next_u64_after"]
+
+
 def test_stream_determinism():
     a = SplitMix64(12345)
     b = SplitMix64(12345)
