@@ -9,6 +9,7 @@ forward closure of an initially infected set along those edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from arborsim.digraph import forward_closure
 from arborsim.rng import MAPPING_STREAM, SplitMix64, derive_stream_seed
@@ -35,13 +36,13 @@ def sample_mapping(n: int, loopless: bool = False, seed: int = 0) -> RandomMappi
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = SplitMix64(derive_stream_seed(seed, MAPPING_STREAM))
+    # counted by range, not repeat(b, n): an n beyond sys.maxsize must reach
+    # the draw's bound check and fail there as a ValueError
+    draws = zip(range(n), rng.below_each(repeat(n - 1 if loopless else n)))
     if loopless:
-        in_nbr = []
-        for v in range(n):
-            u = rng.below(n - 1)
-            in_nbr.append(u + 1 if u >= v else u)
+        in_nbr = [u + 1 if u >= v else u for v, u in draws]
     else:
-        in_nbr = [rng.below(n) for _ in range(n)]
+        in_nbr = [u for _, u in draws]
     return RandomMapping(n, in_nbr, loopless)
 
 

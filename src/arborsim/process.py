@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterator
 
 from arborsim import edgelist
@@ -91,8 +92,8 @@ class ProcessTrace:
         total = self.total_edges
         rng = SplitMix64(self._edge_seed)
         swapped: dict[int, int] = {}
-        for k in range(m):
-            j = k + rng.below(total - k)
+        for k, r in enumerate(rng.below_each(range(total, total - m, -1))):
+            j = k + r
             vj = swapped.get(j, j)
             swapped[j] = swapped.pop(k, k)
             tail, off = divmod(vj, n - 1)
@@ -103,10 +104,10 @@ class ProcessTrace:
         """First m colours (one per process step), edge stream untouched."""
         if not 0 <= m <= self.total_edges:
             raise ValueError(f"prefix length {m} outside [0, {self.total_edges}]")
-        crng = SplitMix64(self._colour_seed)
-        w = self.colour_count
-        for _ in range(m):
-            yield crng.below(w)
+        # counted by range, not repeat(w, m): m may exceed sys.maxsize
+        draws = SplitMix64(self._colour_seed).below_each(repeat(self.colour_count))
+        for _, colour in zip(range(m), draws):
+            yield colour
 
     def prefix(self, m: int) -> Iterator[ColouredEdge]:
         """First m coloured edges: prefix_pairs zipped with prefix_colours."""

@@ -2,11 +2,17 @@
 
 Everything downstream (traces, samplers, experiments) draws from SplitMix64
 streams, so every run is reproducible from a single 64-bit seed and the
-generator is trivial to port to other languages. The constants below are
-fixed for all releases; the test suite pins a golden table of derived seeds.
+generator is trivial to port to other languages. Bounded draws all run
+through one loop, ``SplitMix64.below_each``, which inlines the generator
+step and the rejection test so a streamed draw costs no Python call;
+``below`` takes one draw from it. The constants below are fixed for all
+releases; the test suite pins a golden table of derived seeds and one of
+raw outputs, rejection-path draws and trace digests.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 MASK64 = (1 << 64) - 1
 
@@ -40,15 +46,33 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exactly unbiased (rejection sampling)."""
-        if not 0 < bound <= 1 << 64:
-            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
-        if bound & (bound - 1) == 0:
-            return self.next_u64() & (bound - 1)
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
+        return next(self.below_each((bound,)))
+
+    def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
+        """Yield below(b) for each b in bounds, in order, from this stream.
+
+        The one draw loop: the SplitMix64 step, mix64 and the rejection test
+        are inlined, so a draw costs no Python call. A 64-bit output z gives
+        r = z % bound and is accepted iff the whole block of bound values
+        holding z fits below 2^64 (z - r <= 2^64 - bound); power-of-two
+        bounds always accept. The state is read before and written back
+        after every draw, so other draws on this generator may interleave.
+        """
+        for bound in bounds:
+            if not 0 < bound <= 1 << 64:
+                raise ValueError(f"bound must be in [1, 2^64], got {bound}")
+            ceiling = (1 << 64) - bound
+            state = self._state
+            while True:
+                state = (state + GOLDEN_GAMMA) & MASK64
+                z = ((state ^ (state >> 30)) * _MIX_MUL_1) & MASK64
+                z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+                z ^= z >> 31
+                r = z % bound
+                if z - r <= ceiling:
+                    break
+            self._state = state
+            yield r
 
     def unit(self) -> float:
         """Float in [0, 1) with 53-bit resolution."""
@@ -68,8 +92,8 @@ class SplitMix64:
             raise ValueError(f"need 0 <= k <= population, got k={k}, population={population}")
         swapped: dict[int, int] = {}
         out = []
-        for i in range(k):
-            j = i + self.below(population - i)
+        for i, r in enumerate(self.below_each(range(population, population - k, -1))):
+            j = i + r
             vj = swapped.get(j, j)
             swapped[j] = swapped.pop(i, i)
             out.append(vj)

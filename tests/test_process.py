@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -92,6 +93,15 @@ def test_prefix_streams_agree_with_materialize():
     assert list(trace.prefix_colours(7)) == [e.colour for e in edges[:7]]
     with pytest.raises(ValueError):
         list(trace.prefix(21))
+
+
+def test_prefix_longer_than_sys_maxsize_streams():
+    # n(n-1) lies between sys.maxsize and 2^64, so every draw is in range
+    trace = generate_trace(ProcessConfig(3_500_000_000, 5, 1))
+    assert sys.maxsize < trace.total_edges <= 2**64
+    e = next(trace.prefix(trace.total_edges))
+    assert e.tail != e.head and 0 <= e.colour < 5
+    assert next(trace.prefix_colours(trace.total_edges)) == e.colour
 
 
 def test_graph_at_builds_prefix():

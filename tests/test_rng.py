@@ -1,5 +1,6 @@
 import json
 import pathlib
+from itertools import islice, repeat
 
 import pytest
 
@@ -54,6 +55,55 @@ def test_below_bound_is_at_most_2_64():
     for bound in (2**64 + 1, 2**65):
         with pytest.raises(ValueError):
             SplitMix64(7).below(bound)
+
+
+def below_reference(rng, bound):
+    # the rejection rule as first written: mask a power of two, else reject
+    # outputs at or above the largest multiple of bound that fits in 64 bits
+    if bound & (bound - 1) == 0:
+        return rng.next_u64() & (bound - 1)
+    limit = (1 << 64) - ((1 << 64) % bound)
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return u % bound
+
+
+MIXED_BOUNDS = [1, 2, 3, 5, 2**10, 3 * 2**62, 2**63 + 1, 2**64 - 1, 2**64]
+
+
+def test_below_each_equals_below_draw_by_draw():
+    bounds = MIXED_BOUNDS * 40
+    for seed in (0, 7, 2718):
+        each = list(SplitMix64(seed).below_each(bounds))
+        one = SplitMix64(seed)
+        assert each == [one.below(b) for b in bounds]
+        ref = SplitMix64(seed)
+        assert each == [below_reference(ref, b) for b in bounds]
+        assert one.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2**64 + 1])
+def test_below_each_rejects_a_bad_bound_at_its_draw(bad):
+    rng = SplitMix64(5)
+    it = rng.below_each([6, 2**63 + 1, bad, 6])
+    ref = SplitMix64(5)
+    assert [next(it), next(it)] == [ref.below(6), ref.below(2**63 + 1)]
+    with pytest.raises(ValueError):
+        next(it)
+    # the bad draw consumed nothing
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_below_after_partial_below_each_continues_the_stream():
+    expected = list(SplitMix64(9).below_each(repeat(1000, 7)))
+    rng = SplitMix64(9)
+    it = rng.below_each(repeat(1000, 6))
+    assert list(islice(it, 2)) == expected[:2]
+    assert rng.below(1000) == expected[2]
+    # resuming the iterator picks up after the interleaved draw: its last
+    # four draws are the stream's fourth to seventh
+    assert list(it) == expected[3:]
 
 
 def test_below_is_roughly_uniform():
