@@ -156,7 +156,7 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
 def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> ArborescenceCertificate | None:
     """Backtracking search for a rainbow arborescence rooted at `root`.
 
-    grow(tree, used) extends the partial tree (vertex bitmask) whose edges
+    grow(tree, used, recheck) extends the partial tree (vertex bitmask) whose edges
     consumed the colours in `used`, branching on every frontier edge
     (tail inside, head outside, colour unused): scarcest heads first, by
     (admissible edge count, v), and each head's edges in in-edge order.
@@ -166,10 +166,22 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     unused in-colour. Failed states are memoised by (tree, used), packed
     into one integer.
 
-    A node costs O(n) integer operations, not a rescan of every edge: the
-    search keeps the following for the current state, updates it when a
-    branch takes edge (t, v, c) and undoes that exactly when the branch
-    returns, touching only the edges of colour c and the edges at v.
+    The reachability pass is rerun only where it can fail. If a state
+    passes it and a branch takes edge (t, v, c), the child loses only the
+    colour-c edges. When every colour-c edge (., h) with h still outside
+    leaves h a frontier edge (adm[h] > 0), every path survives: reroute it
+    through the head of its last colour-c edge, which is inside the tree or
+    one frontier edge from it. So the child passes too. take() reports
+    whether some such h has adm[h] == 0, and grow's `recheck` flag reruns
+    the pass only then (and at the root). The skip replaces a pass whose
+    answer is known, so the nodes visited, the memo and the branch order
+    are those of a search that reruns it everywhere.
+
+    A node costs O(size of the taken colour class) integer operations when
+    it skips the pass and O(n) when it reruns it, not a rescan of every
+    edge: the search keeps the following for the current state, updates it
+    when a branch takes edge (t, v, c) and undoes that exactly when the
+    branch returns, touching only the edges of colour c and the edges at v.
 
     - heads_of[c], the number of outside vertices colour c enters, and
       `live`, the number of unused colours with heads_of[c] > 0;
@@ -216,7 +228,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     parent: dict[int, tuple[int, int]] = {}
     failed: set[int] = set()
 
-    def take(v: int, c: int) -> None:
+    def take(v: int, c: int) -> bool:
         nonlocal live, front
         is_used[c] = 1
         live -= 1  # c enters v, which is still outside
@@ -249,6 +261,10 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                     front ^= bit
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
+        for _, h in colour_edges[c]:
+            if not (inside[h] or adm[h]):
+                return True  # the child must rerun the reachability pass
+        return False
 
     def untake(v: int, c: int) -> None:
         nonlocal live, front
@@ -284,7 +300,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         live += 1
         is_used[c] = 0
 
-    def grow(tree: int, used: int) -> bool:
+    def grow(tree: int, used: int, recheck: bool) -> bool:
         if tree == full:
             return True
         key = tree | used << n
@@ -295,21 +311,22 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         if live < n - tree.bit_count():
             failed.add(key)
             return False
-        # Bitset BFS: the outside vertices reachable from the tree along
-        # unused-colour edges, starting from those one frontier edge away.
-        seen = tree | front
-        todo = front
-        while todo and seen != full:
-            nxt = 0
-            while todo:
-                low = todo & -todo
-                nxt |= reach[low.bit_length() - 1]
-                todo ^= low
-            todo = nxt & ~seen
-            seen |= todo
-        if seen != full:
-            failed.add(key)
-            return False
+        if recheck:
+            # Bitset BFS: the outside vertices reachable from the tree along
+            # unused-colour edges, starting from those one frontier edge away.
+            seen = tree | front
+            todo = front
+            while todo and seen != full:
+                nxt = 0
+                while todo:
+                    low = todo & -todo
+                    nxt |= reach[low.bit_length() - 1]
+                    todo ^= low
+                todo = nxt & ~seen
+                seen |= todo
+            if seen != full:
+                failed.add(key)
+                return False
         # Branching over every admissible frontier edge is complete: any
         # extension tree must leave the current vertex set through one of
         # them. Heads come in (adm, v) order, bucket by bucket and each
@@ -329,14 +346,13 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                     if not inside[t] or is_used[c]:
                         continue
                     parent[v] = (t, c)
-                    take(v, c)
-                    if grow(tree | vbit, used | (1 << c)):
+                    if grow(tree | vbit, used | (1 << c), take(v, c)):
                         return True
                     untake(v, c)
         failed.add(key)
         return False
 
-    if not grow(1 << root, 0):
+    if not grow(1 << root, 0, True):
         return None
     edges = {v: ColouredEdge(t, v, colours[c]) for v, (t, c) in parent.items()}
     cert = ArborescenceCertificate(root, edges)
@@ -358,20 +374,22 @@ def _decide_by_colour_enumeration(
     an exact reduction. Each combination is tried with a BFS out-tree from
     each of `roots` in ascending order; the first that spans is returned.
     The number of combinations is the product of the class sizes; returns
-    "inapplicable" when that exceeds the cap.
+    "inapplicable" when that exceeds the cap, read from the colour
+    multiplicities before any edge is grouped.
     """
     from itertools import product
 
+    combos = 1
+    for k in g.colour_mult:
+        if k > 1:
+            combos *= k
+            if combos > _COLOUR_COMBO_CAP:
+                return "inapplicable"
     by_colour: dict[int, list[ColouredEdge]] = {}
     for e in g.edges:
         by_colour.setdefault(e.colour, []).append(e)
     single = [es[0] for es in by_colour.values() if len(es) == 1]
     multi = [es for es in by_colour.values() if len(es) > 1]
-    combos = 1
-    for es in multi:
-        combos *= len(es)
-        if combos > _COLOUR_COMBO_CAP:
-            return "inapplicable"
     n = g.n
     roots = sorted(roots)
     for selection in product(*multi):
@@ -413,11 +431,15 @@ def decide_exact(
     order, branching on every frontier-crossing edge with an unused colour.
     Failed (vertex set, colour set) states are memoised: whether a partial
     tree extends to a spanning one depends only on which vertices it covers
-    and which colours it has consumed, never on its internal shape. Each
-    search node costs O(n) integer operations: the search keeps per-vertex
-    and per-colour counters and reachability bitmasks for the current state
-    and updates them when a branch takes an edge, undoing the update when
-    the branch returns (see _search_root).
+    and which colours it has consumed, never on its internal shape. The
+    search keeps per-vertex and per-colour counters and reachability
+    bitmasks for the current state and updates them when a branch takes an
+    edge, undoing the update when the branch returns. A child reruns the
+    reachability pass only when the taken colour leaves some outside vertex
+    it entered with no frontier edge; otherwise every path of its parent
+    survives through that vertex's frontier edge. So a node costs
+    O(size of the taken colour class) integer operations when it skips the
+    pass and O(n) when it reruns it (see _search_root).
     """
     _check_root(g.n, root)
     roots = _candidate_roots(g, root)

@@ -13,6 +13,8 @@ from arborsim.rainbow import (
     decide_exact,
     heuristic_construct,
     _candidate_roots,
+    _COLOUR_COMBO_CAP,
+    _decide_by_colour_enumeration,
     _search_root,
     verify_certificate,
 )
@@ -80,6 +82,31 @@ def test_exact_fast_paths():
     star = graph_from_edges(4, 4, [(0, 1, 0), (0, 2, 1), (0, 3, 2)])
     cert = decide_exact(star)
     assert cert is not None and cert.root == 0
+
+
+def test_colour_enumeration_cap_is_inclusive():
+    # A path 0 -> 1 -> ... -> 27 in distinct colours spans from 0; every
+    # other edge lies in a colliding class. Enumeration applies at
+    # 2^11 = 2,048 combinations (and the first one spans) and declines at
+    # 3 x 683 = 2,049.
+    n = 28
+    others = [(t, h) for t in range(n) for h in range(n) if t != h and h != t + 1]
+
+    def graph(class_sizes):
+        g = ColouredDigraph(n, n - 1 + len(class_sizes))
+        for v in range(n - 1):
+            g.add_edge(ColouredEdge(v, v + 1, v))
+        pairs = iter(others)
+        for c, size in enumerate(class_sizes, start=n - 1):
+            for _ in range(size):
+                g.add_edge(ColouredEdge(*next(pairs), c))
+        return g
+
+    assert _COLOUR_COMBO_CAP == 2048
+    g = graph([2] * 11)
+    cert = _decide_by_colour_enumeration(g, [0], None)
+    assert cert != "inapplicable" and cert.root == 0 and verify_certificate(g, cert)
+    assert _decide_by_colour_enumeration(graph([3, 683]), [0], None) == "inapplicable"
 
 
 def test_single_vertex_graph():
