@@ -78,6 +78,13 @@ def verify_certificate(g: ColouredDigraph, cert: ArborescenceCertificate) -> boo
     return _is_rainbow_arborescence(n, root, cert.parent_edge.values())
 
 
+def _verified(g: ColouredDigraph, cert: ArborescenceCertificate, solver: str) -> ArborescenceCertificate:
+    """cert after verify_certificate accepts it; AssertionError, also under -O, if not."""
+    if not verify_certificate(g, cert):
+        raise AssertionError(f"{solver} produced an invalid certificate")
+    return cert
+
+
 def _is_rainbow_arborescence(n: int, root: int, choice: Iterable[ColouredEdge]) -> bool:
     """Whether one in-edge per non-root vertex has distinct colours and no cycle."""
     colours = set()
@@ -183,36 +190,50 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     when a branch takes edge (t, v, c) and undoes that exactly when the
     branch returns, touching only the edges of colour c and the edges at v.
 
-    - heads_of[c], the number of outside vertices colour c enters, and
-      `live`, the number of unused colours with heads_of[c] > 0;
+    - heads_of[c], the number of colour-c edges into outside vertices,
+      and `live`, the number of unused colours with heads_of[c] > 0, so
+      the colours that enter some outside vertex;
     - adm[v], the number of frontier edges into outside v; `front`, the
       bitmask of outside vertices with adm[v] > 0; by_adm[a], the bitmask
       of outside vertices with adm[v] == a, which yields the branch order
       without sorting;
     - reach[t], the bitmask of heads t reaches by an unused colour, so
       reachability is a bitset BFS out of `front`.
+
+    Set-up is one pass over g.edges. It numbers the colours densely in
+    order of first appearance, through a list indexed by colour, and
+    appends every edge to its head's in_lists entry, its tail's out_lists
+    entry and its colour's colour_edges entry; heads_of starts at the
+    colour class sizes, and reach is read off g.out_heads. Each head's
+    in-edges keep process order, which fixes the branch order and so the
+    nodes visited and the certificate. out_lists and colour_edges are read
+    only by take() and untake(), whose XOR and counter updates do not
+    depend on their order.
     """
     n = g.n
     full = (1 << n) - 1
     # Colours are renumbered densely in order of first appearance, so the
     # memo's colour masks are as wide as the colours present, not as wide
     # as colour_count (3,347 at n = 200 by default).
-    colours = list(dict.fromkeys([c for _, _, c in g.edges]))
-    index = {c: k for k, c in enumerate(colours)}
-    in_lists = [[(t, index[c]) for t, _, c in es] for es in g.in_edges]
-    in_colours = [list({k for _, k in es}) for es in in_lists]
-    heads_of = [0] * len(colours)
-    colour_edges: list[list[tuple[int, int]]] = [[] for _ in colours]
+    index = [-1] * g.colour_count
+    colours: list[int] = []
+    colour_edges: list[list[tuple[int, int]]] = []
+    in_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    reach = [0] * n
-    for v, es in enumerate(in_lists):
-        for k in in_colours[v]:
-            heads_of[k] += 1
-        for t, k in es:
-            out_lists[t].append((v, k))
-            colour_edges[k].append((t, v))
-            reach[t] |= 1 << v
-    for c in in_colours[root]:
+    for t, h, c in g.edges:
+        k = index[c]
+        if k < 0:
+            k = index[c] = len(colours)
+            colours.append(c)
+            colour_edges.append([(t, h)])
+        else:
+            colour_edges[k].append((t, h))
+        in_lists[h].append((t, k))
+        out_lists[t].append((h, k))
+    heads_of = [len(es) for es in colour_edges]
+    # A simple digraph's out-heads are distinct, so their sum is their union.
+    reach = [sum(map((1).__lshift__, hs)) for hs in g.out_heads]
+    for _, c in in_lists[root]:
         heads_of[c] -= 1
     live = len(heads_of) - heads_of.count(0)
     inside = bytearray(n)
@@ -244,7 +265,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 else:
                     front ^= bit
         inside[v] = 1
-        for k in in_colours[v]:
+        for _, k in in_lists[v]:
             heads_of[k] -= 1
             if not heads_of[k] and not is_used[k]:
                 live -= 1
@@ -281,7 +302,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         if adm[v]:
             by_adm[adm[v]] ^= 1 << v
             front ^= 1 << v
-        for k in in_colours[v]:
+        for _, k in in_lists[v]:
             if not heads_of[k] and not is_used[k]:
                 live += 1
             heads_of[k] += 1
@@ -355,9 +376,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     if not grow(1 << root, 0, True):
         return None
     edges = {v: ColouredEdge(t, v, colours[c]) for v, (t, c) in parent.items()}
-    cert = ArborescenceCertificate(root, edges)
-    assert verify_certificate(g, cert), "exact solver produced an invalid certificate"
-    return cert
+    return _verified(g, ArborescenceCertificate(root, edges), "exact solver")
 
 
 _COLOUR_COMBO_CAP = 2048
@@ -407,9 +426,7 @@ def _decide_by_colour_enumeration(
                         parent[e.head] = e
                         queue.append(e.head)
             if len(queue) == n:
-                cert = ArborescenceCertificate(root, parent)
-                assert verify_certificate(g, cert), "tree extraction produced an invalid certificate"
-                return cert
+                return _verified(g, ArborescenceCertificate(root, parent), "tree extraction")
     return None
 
 
@@ -545,8 +562,7 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     if len(in_root) < n:
         return HeuristicOutcome(None, failure_reason="unrepairable components")
     cert = ArborescenceCertificate(root, dict(chosen))
-    assert verify_certificate(g, cert), "heuristic produced an invalid certificate"
-    return HeuristicOutcome(cert)
+    return HeuristicOutcome(_verified(g, cert, "heuristic"))
 
 
 _HEURISTIC_TRIES = 3

@@ -1,8 +1,13 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from arborsim import rainbow
 from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
 from arborsim.rainbow import (
     ArborescenceCertificate,
@@ -333,3 +338,36 @@ def test_decide_two_zero_in_degree_vertices():
     assert g.zero_in_count == 2
     for mode in ("oracle", "exact", "heuristic", "auto"):
         assert decide(g, mode=mode).outcome == "not_found"
+
+
+RECHECK_UNDER_O = """
+from arborsim import rainbow
+from arborsim.digraph import ColouredDigraph, ColouredEdge
+
+g = ColouredDigraph(3, 2)
+g.add_edge(ColouredEdge(0, 1, 0))
+g.add_edge(ColouredEdge(1, 2, 1))
+rainbow.verify_certificate = lambda g, cert: False  # every check fails
+solvers = [
+    lambda: rainbow.decide(g, "heuristic"),
+    lambda: rainbow.decide(g, "exact"),  # colour enumeration
+    lambda: rainbow._search_root(g, 0, None),
+]
+for solve in solvers:
+    try:
+        print("returned", solve())
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+def test_certificates_are_rechecked_under_python_O():
+    src = pathlib.Path(rainbow.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-O", "-c", RECHECK_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "heuristic produced an invalid certificate",
+        "tree extraction produced an invalid certificate",
+        "exact solver produced an invalid certificate",
+    ]
