@@ -183,7 +183,7 @@ def _load_graph(path: str) -> ColouredDigraph | int:
     except OSError as exc:
         print(f"arborsim: cannot read {path}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"arborsim: bad edge list {path}: {exc}", file=sys.stderr)
         return 1
 
@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mapping":
             return _cmd_mapping(args)
         return _cmd_experiment(args)
-    except (ValueError, OracleTooLargeError) as exc:
+    except (ValueError, OverflowError, OracleTooLargeError) as exc:
         print(f"arborsim: {exc}", file=sys.stderr)
         return 1
 

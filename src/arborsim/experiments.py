@@ -96,10 +96,13 @@ def parse_report_csv(text: str) -> ExperimentReport:
 
 
 def _run_rows(worker: Callable, args: Sequence, threads: int) -> list:
-    if threads <= 1:
+    # The pool forks all its workers at the first submit, so never ask for
+    # more than there are rows.
+    workers = min(threads, len(args))
+    if workers <= 1:
         return [worker(a) for a in args]
-    chunk = max(1, len(args) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(args) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args, chunksize=chunk))
 
 

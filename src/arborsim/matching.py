@@ -40,18 +40,29 @@ def build_colour_bigraph(g: ColouredDigraph) -> ColourBipartiteGraph:
 
 def _maximum_matching(
     b: ColourBipartiteGraph, skip: int | None = None
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[dict[int, int], tuple[list[int], dict[int, int]] | None]:
     """Maximum matching over left = vertices except `skip` (if any), right = colours.
 
     BFS augmenting-path search from each free left vertex in ascending
-    order; deterministic for a given adjacency.
+    order; deterministic for a given adjacency. Returns the matching
+    (vertex -> colour) and the search tree (vertices, colour -> vertex it
+    was reached from) of the lowest vertex the matching leaves unmatched,
+    or None if every vertex is matched.
+
+    That tree is the vertex's alternating reach under the final matching.
+    When the search from u fails it has reached S = its queue and
+    T = N(S), and every colour of T is matched into S. A later augmenting
+    path that entered T could never leave S and T, so it could never end
+    at a free colour; no later augmentation touches them. A start that
+    fails stays free and a matched vertex stays matched, so the first
+    failure is the lowest unmatched vertex. A vertex with no colours fails
+    at once, with the tree ([u], {}).
     """
     match_v: dict[int, int] = {}
     match_c: dict[int, int] = {}
+    tree: tuple[list[int], dict[int, int]] | None = None
     for start in range(b.n):
         if start == skip:
-            continue
-        if not b.adjacency[start]:
             continue
         # BFS over alternating paths, recording how each colour was reached.
         parent_colour: dict[int, int] = {}  # colour -> left vertex it was reached from
@@ -71,6 +82,8 @@ def _maximum_matching(
                     break
                 queue.append(owner)
         if found is None:
+            if tree is None:
+                tree = (queue, parent_colour)
             continue
         # Flip the alternating path back to `start`.
         c = found
@@ -82,63 +95,35 @@ def _maximum_matching(
             if prev is None and v == start:
                 break
             c = prev  # type: ignore[assignment]
-    return match_v, match_c
+    return match_v, tree
 
 
 def find_colour_assignment(b: ColourBipartiteGraph, root: int) -> ColourAssignment | None:
     if not 0 <= root < b.n:
         raise ValueError(f"root {root} out of range [0, {b.n})")
-    match_v, _ = _maximum_matching(b, root)
-    if len(match_v) < b.n - 1:
+    match_v, tree = _maximum_matching(b, root)
+    if tree is not None:
         return None
-    return ColourAssignment(root, dict(match_v))
-
-
-def _alternating_reach(
-    b: ColourBipartiteGraph, match_c: dict[int, int], seed: int
-) -> tuple[set[int], set[int]]:
-    """Vertices and colours reachable from an unmatched `seed` by alternating paths.
-
-    A vertex steps to any of its colours, a colour to the vertex matched to
-    it. Under a maximum matching every reached colour is matched, else the
-    path to it would augment.
-    """
-    s_set = {seed}
-    t_set: set[int] = set()
-    queue = [seed]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for c in b.adjacency[v]:
-            if c in t_set:
-                continue
-            t_set.add(c)
-            owner = match_c.get(c)
-            assert owner is not None
-            if owner not in s_set:
-                s_set.add(owner)
-                queue.append(owner)
-    return s_set, t_set
+    return ColourAssignment(root, match_v)
 
 
 def find_k_witness(b: ColourBipartiteGraph, root: int) -> KWitness | None:
     """Hall violator for V \\ {root}, or None iff an assignment exists.
 
-    S is the alternating-reachable left set from the lowest unmatched
-    vertex under a maximum matching; T = N(S). Every vertex of S except
-    the seed is matched into T and every colour of T is matched into S,
-    which forces |T| = |S| - 1 exactly.
+    S is the alternating reach of the lowest unmatched vertex under a
+    maximum matching, read off its failed augmenting search (see
+    _maximum_matching); T = N(S). Every vertex of S except the seed is
+    matched into T and every colour of T is matched into S, which forces
+    |T| = |S| - 1 exactly.
     """
     if not 0 <= root < b.n:
         raise ValueError(f"root {root} out of range [0, {b.n})")
-    match_v, match_c = _maximum_matching(b, root)
-    unmatched = [v for v in range(b.n) if v != root and v not in match_v]
-    if not unmatched:
+    _, tree = _maximum_matching(b, root)
+    if tree is None:
         return None
-    s_set, t_set = _alternating_reach(b, match_c, min(unmatched))
-    assert len(t_set) == len(s_set) - 1
-    return KWitness(sorted(s_set), sorted(t_set))
+    vertices, colours = tree
+    assert len(colours) == len(vertices) - 1
+    return KWitness(sorted(vertices), sorted(colours))
 
 
 def assignment_roots(b: ColourBipartiteGraph) -> set[int]:
@@ -149,15 +134,15 @@ def assignment_roots(b: ColourBipartiteGraph) -> set[int]:
     none, dropping any root's matched edge saturates the rest. If it
     leaves exactly one vertex u, the admissible roots are the vertices that
     some maximum matching leaves unmatched, which are exactly those reached
-    from u by even alternating paths (Dulmage-Mendelsohn; Gallai-Edmonds).
+    from u by even alternating paths (Dulmage-Mendelsohn; Gallai-Edmonds):
+    the vertices of u's failed search tree (see _maximum_matching).
     """
-    match_v, match_c = _maximum_matching(b)
-    unmatched = [v for v in range(b.n) if v not in match_v]
-    if not unmatched:
+    match_v, tree = _maximum_matching(b)
+    if tree is None:
         return set(range(b.n))
-    if len(unmatched) >= 2:
+    if len(match_v) < b.n - 1:
         return set()
-    return _alternating_reach(b, match_c, unmatched[0])[0]
+    return set(tree[0])
 
 
 def materialize_assignment(g: ColouredDigraph, assignment: ColourAssignment) -> dict[int, ColouredEdge]:

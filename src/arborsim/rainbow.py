@@ -10,6 +10,7 @@ is a fast one-sided constructor.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -373,8 +374,15 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         failed.add(key)
         return False
 
-    if not grow(1 << root, 0, True):
-        return None
+    # grow recurses once per tree vertex, so n in the thousands needs more
+    # than the default limit of 1,000 frames.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        if not grow(1 << root, 0, True):
+            return None
+    finally:
+        sys.setrecursionlimit(limit)
     edges = {v: ColouredEdge(t, v, colours[c]) for v, (t, c) in parent.items()}
     return _verified(g, ArborescenceCertificate(root, edges), "exact solver")
 

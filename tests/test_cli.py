@@ -111,6 +111,24 @@ def test_ranges_wider_than_64_bits_are_one_line_errors():
         assert err.startswith("arborsim: ") and err.count("\n") == 1
 
 
+def test_oversized_numbers_are_one_line_errors(tmp_path):
+    # values that overflow a float-to-int conversion or a list size
+    huge = str(10**23)
+    argvs = [["experiment", "poisson", "--n", "3", "--c", "1e308", "--trials", "1"]]
+    argvs += [["experiment", kind, "--n", huge, "--trials", "1"]
+              for kind in ("poisson", "coupon", "theorem")]
+    argvs.append(["hitting-times", "--n", huge])
+    for i, header in enumerate((f"{huge} 5", f"3 {huge}")):
+        path = tmp_path / f"huge{i}.txt"
+        path.write_text(header + "\n")
+        argvs += [["decide", "--input", str(path)], ["assign", "--input", str(path)]]
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("arborsim: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err
+
+
 def test_theorem_check_at_n1000():
     code, out, err = run_cli(["experiment", "theorem", "--n", "1000", "--trials", "3",
                               "--threads", "1", "--check"])

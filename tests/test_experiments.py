@@ -66,6 +66,35 @@ def test_threads_do_not_change_output():
         assert run(1).to_csv() == run(2).to_csv()
 
 
+def test_worker_count_is_capped_at_the_trial_count(monkeypatch):
+    pools = []  # max_workers of every pool created
+
+    class InlinePool:
+        """Records the pool size and maps in this process; starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    run = lambda trials, threads: run_poisson_experiment(
+        300, 0.5, trials, seed=3, threads=threads).to_csv()
+    assert run(3, 8) == run(3, 1)
+    assert pools == [3]
+    run(1, 8)  # one trial runs inline
+    assert pools == [3]
+    run(20, 2)
+    assert pools == [3, 2]
+
+
 def test_summaries_recomputable_from_rows():
     report = run_coupon_experiment(60, 50, seed=5)
     again = _summarize_coupon(report.rows, 50, report.params["bound"])

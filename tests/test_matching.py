@@ -2,6 +2,8 @@ import pytest
 
 from arborsim.matching import (
     ColourBipartiteGraph,
+    KWitness,
+    _maximum_matching,
     assignment_roots,
     build_colour_bigraph,
     find_colour_assignment,
@@ -104,6 +106,50 @@ def test_assignment_roots_equal_per_root_matchings():
         assert assignment_roots(b) == expected
         kinds.add("none" if not expected else "all" if len(expected) == n else "some")
     assert kinds == {"none", "some", "all"}
+
+
+def alternating_reach(b, match_v, seed):
+    """Reference: vertices and colours reached from `seed` by alternating paths.
+
+    A vertex steps to each of its colours, a colour to the vertex that
+    match_v maps to it.
+    """
+    owner = {c: v for v, c in match_v.items()}
+    vertices, colours = {seed}, set()
+    queue = [seed]
+    for v in queue:
+        for c in b.adjacency[v]:
+            if c not in colours:
+                colours.add(c)
+                if owner[c] not in vertices:
+                    vertices.add(owner[c])
+                    queue.append(owner[c])
+    return vertices, colours
+
+
+def test_witness_and_roots_equal_a_fresh_alternating_reach():
+    rng = SplitMix64(1935)
+    seen = set()
+    for _ in range(8000):
+        n = 1 + rng.below(9)
+        w = 1 + rng.below(n + 2)
+        # about one row in five has no colours
+        b = bigraph(n, [{rng.below(w) for _ in range(rng.below(min(w, 4) + 1))}
+                        for _ in range(n)])
+        for skip in [None, *range(n)]:
+            match_v, _ = _maximum_matching(b, skip)
+            unmatched = [v for v in range(n) if v != skip and v not in match_v]
+            if unmatched:
+                s, t = alternating_reach(b, match_v, unmatched[0])
+                seen.add("no colours" if not t else "witness")
+            if skip is not None:
+                expected = None if not unmatched else KWitness(sorted(s), sorted(t))
+                assert find_k_witness(b, skip) == expected
+            elif len(unmatched) == 1:
+                assert assignment_roots(b) == s
+            else:
+                assert assignment_roots(b) == (set() if unmatched else set(range(n)))
+    assert seen == {"no colours", "witness"}
 
 
 def test_materialized_assignment_structure():

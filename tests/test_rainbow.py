@@ -23,6 +23,7 @@ from arborsim.rainbow import (
     _search_root,
     verify_certificate,
 )
+from arborsim.process import ProcessConfig, ProcessTrace
 from arborsim.rng import SplitMix64
 from helpers import graph_from_edges, random_graph
 
@@ -206,6 +207,24 @@ def test_exact_budget():
                 c += 1
     with pytest.raises(BudgetExceededError):
         decide_exact(g, deadline=time.monotonic() - 1.0)
+
+
+def test_exact_search_deeper_than_the_default_recursion_limit():
+    # The prefix at M = max(m_C, m_Z) of an n = 1,200 trace: the search
+    # grows a tree of 1,200 vertices, one grow frame per vertex.
+    n = 1200
+    trace = ProcessTrace(ProcessConfig(n, "auto", 5))
+    g = ColouredDigraph(n, trace.colour_count)
+    for e in trace.prefix(trace.total_edges):
+        g.add_edge(e)
+        if g.distinct_colours >= n - 1 and g.zero_in_count <= 1:
+            break
+    limit = sys.getrecursionlimit()
+    assert limit < n
+    result = decide(g, mode="exact")
+    assert result.outcome == "found" and result.decided_by == "exact"
+    assert verify_certificate(g, result.certificate)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_heuristic_star_one_pass():
