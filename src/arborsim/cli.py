@@ -29,6 +29,8 @@ from arborsim.process import ProcessConfig, generate_trace
 from arborsim.rainbow import OracleTooLargeError, decide
 
 DEFAULT_SEED = 1729
+# The process draws its n(n - 1) ordered pairs below 2^64.
+MAX_PROCESS_N = 2**32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -315,6 +317,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    process = args.command in ("simulate", "hitting-times") or (
+        args.command == "experiment" and args.kind != "mapping")
+    if process and args.n > MAX_PROCESS_N:
+        print(f"arborsim: --n must be at most 2^32, as the process draws its "
+              f"n(n - 1) ordered pairs below 2^64, got {args.n}", file=sys.stderr)
+        return 1
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -21,6 +21,14 @@ class ColouredEdge(NamedTuple):
     colour: int
 
 
+def _zeros(size: int, name: str) -> list[int]:
+    """[0] * size, or a ValueError naming the size when memory cannot hold it."""
+    try:
+        return [0] * size
+    except (MemoryError, OverflowError):
+        raise ValueError(f"{name} = {size} is too large to hold in memory") from None
+
+
 class ColouredDigraph:
     """Simple digraph on vertices 0..n-1 whose edges carry colours 0..W-1."""
 
@@ -45,8 +53,8 @@ class ColouredDigraph:
         self.n = n
         self.colour_count = colour_count
         self.edges: list[ColouredEdge] = []
-        self.in_deg = [0] * n
-        self.colour_mult = [0] * colour_count
+        self.in_deg = _zeros(n, "vertex count n")
+        self.colour_mult = _zeros(colour_count, "colour count W")
         self.zero_in_count = n
         self.distinct_colours = 0
         self.in_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]

@@ -203,7 +203,9 @@ def _summarize_poisson(rows: list[tuple], trials: int, c: float) -> dict:
 
 def run_poisson_experiment(n: int, c: float, trials: int, seed: int,
                            threads: int = 1) -> ExperimentReport:
-    m = round_half_up(n * (math.log(n) + c))
+    m = n * (math.log(n) + c)
+    if math.isfinite(m):  # else |c| near the float limit: report m = inf
+        m = round_half_up(m)
     total = n * (n - 1)
     if not 0 <= m <= total:
         raise ValueError(f"m = {m} outside [0, {total}] for n = {n}, c = {c}")

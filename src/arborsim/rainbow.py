@@ -15,7 +15,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
+from arborsim.digraph import ColouredDigraph, ColouredEdge, forward_closure, spanning_roots
 from arborsim.matching import (
     assignment_roots,
     build_colour_bigraph,
@@ -164,8 +164,8 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
 def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> ArborescenceCertificate | None:
     """Backtracking search for a rainbow arborescence rooted at `root`.
 
-    grow(tree, used, recheck) extends the partial tree (vertex bitmask) whose edges
-    consumed the colours in `used`, branching on every frontier edge
+    grow(tree, used, cut) extends the partial tree (vertex bitmask) whose
+    edges consumed the colours in `used`, branching on every frontier edge
     (tail inside, head outside, colour unused): scarcest heads first, by
     (admissible edge count, v), and each head's edges in in-edge order.
     A state fails when fewer unused colours enter the outside than it has
@@ -174,90 +174,95 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     unused in-colour. Failed states are memoised by (tree, used), packed
     into one integer.
 
-    The reachability pass is rerun only where it can fail. If a state
-    passes it and a branch takes edge (t, v, c), the child loses only the
-    colour-c edges. When every colour-c edge (., h) with h still outside
-    leaves h a frontier edge (adm[h] > 0), every path survives: reroute it
-    through the head of its last colour-c edge, which is inside the tree or
-    one frontier edge from it. So the child passes too. take() reports
-    whether some such h has adm[h] == 0, and grow's `recheck` flag reruns
-    the pass only then (and at the root). The skip replaces a pass whose
-    answer is known, so the nodes visited, the memo and the branch order
-    are those of a search that reruns it everywhere.
+    Reachability is checked in full only at the root state, where no colour
+    is used yet, so it is plain reachability from the root. Below it, a
+    state passed and a branch took edge (t, v, c), so the child lost only
+    the colour-c edges. On any old path to an outside vertex w, take the
+    last colour-c edge (s, h): the rest of the path after h still exists,
+    so w is reachable if and only if h is. A head h inside the tree or one
+    frontier edge from it (adm[h] > 0) is reachable; take() returns the
+    other outside heads of colour-c edges, the cut vertices (usually none),
+    and grow checks each by a backward search along unused-colour edges
+    until it meets the tree. That is the answer of a full pass, so the
+    nodes visited, the memo and the branch order are those of a search
+    that reruns the pass everywhere.
 
-    A node costs O(size of the taken colour class) integer operations when
-    it skips the pass and O(n) when it reruns it, not a rescan of every
-    edge: the search keeps the following for the current state, updates it
-    when a branch takes edge (t, v, c) and undoes that exactly when the
-    branch returns, touching only the edges of colour c and the edges at v.
+    A node costs O(size of the taken colour class + degree of v) integer
+    operations, plus one backward search per cut vertex, which visits at
+    most the outside vertices and their in-edges and usually stops within
+    a step or two. The search keeps the following for the current state,
+    updates it when a branch takes edge (t, v, c) and undoes that exactly
+    when the branch returns, touching only the edges of colour c and the
+    edges at v.
 
-    - heads_of[c], the number of colour-c edges into outside vertices,
-      and `live`, the number of unused colours with heads_of[c] > 0, so
-      the colours that enter some outside vertex;
+    - heads_of[c], the number of colour-c edges into outside vertices, less
+      `spent` (more than any count) while c is used, so a used colour's
+      entry is negative and an unused colour that enters some outside
+      vertex has a positive one; and `live`, the number of unused colours
+      with heads_of[c] > 0, so the colours that enter some outside vertex;
     - adm[v], the number of frontier edges into outside v; `front`, the
       bitmask of outside vertices with adm[v] > 0; by_adm[a], the bitmask
       of outside vertices with adm[v] == a, which yields the branch order
-      without sorting;
-    - reach[t], the bitmask of heads t reaches by an unused colour, so
-      reachability is a bitset BFS out of `front`.
+      without sorting.
 
-    Set-up is one pass over g.edges. It numbers the colours densely in
-    order of first appearance, through a list indexed by colour, and
-    appends every edge to its head's in_lists entry, its tail's out_lists
-    entry and its colour's colour_edges entry; heads_of starts at the
-    colour class sizes, and reach is read off g.out_heads. Each head's
-    in-edges keep process order, which fixes the branch order and so the
-    nodes visited and the certificate. out_lists and colour_edges are read
-    only by take() and untake(), whose XOR and counter updates do not
-    depend on their order.
+    The tables are the graph's own where they can be. In-edges are
+    g.in_edges, whose process order fixes the branch order and so the
+    nodes visited and the certificate. One pass over g.edges files each
+    edge, the same ColouredEdge object, under its tail in out_edges and
+    under its colour in colour_edges; take() and untake() read those, and
+    their updates do not depend on the order. heads_of and `live` start
+    from g.colour_mult and g.distinct_colours, and `parent` maps each tree
+    vertex to its chosen edge and becomes the certificate. Only the memo's
+    colour masks renumber the colours, densely in order of first
+    appearance. Everything is freed when the search returns.
     """
     n = g.n
     full = (1 << n) - 1
-    # Colours are renumbered densely in order of first appearance, so the
-    # memo's colour masks are as wide as the colours present, not as wide
-    # as colour_count (3,347 at n = 200 by default).
-    index = [-1] * g.colour_count
-    colours: list[int] = []
-    colour_edges: list[list[tuple[int, int]]] = []
-    in_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t, h, c in g.edges:
-        k = index[c]
-        if k < 0:
-            k = index[c] = len(colours)
-            colours.append(c)
-            colour_edges.append([(t, h)])
+    in_edges = g.in_edges
+    out_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
+    colour_edges: dict[int, list[ColouredEdge]] = {}
+    # Edges are indexed, not unpacked, on every path a node takes: CPython
+    # unpacks a NamedTuple through an iterator, about 1.4x the cost.
+    for e in g.edges:
+        out_edges[e[0]].append(e)
+        es = colour_edges.get(e[2])
+        if es is None:
+            colour_edges[e[2]] = [e]
         else:
-            colour_edges[k].append((t, h))
-        in_lists[h].append((t, k))
-        out_lists[t].append((h, k))
-    heads_of = [len(es) for es in colour_edges]
-    # A simple digraph's out-heads are distinct, so their sum is their union.
-    reach = [sum(map((1).__lshift__, hs)) for hs in g.out_heads]
-    for _, c in in_lists[root]:
+            es.append(e)
+    # Dense numbering keeps the memo's colour masks as wide as the colours
+    # present, not as wide as colour_count (3,347 at n = 200 by default).
+    colour_bit = {c: 1 << k for k, c in enumerate(colour_edges)}
+    # The only list as long as colour_count, like colour_mult itself.
+    heads_of = g.colour_mult.copy()
+    live = g.distinct_colours
+    for _, _, c in in_edges[root]:
         heads_of[c] -= 1
-    live = len(heads_of) - heads_of.count(0)
+        if not heads_of[c]:
+            live -= 1
+    spent = len(g.edges) + 1  # marks a used colour in heads_of, see above
     inside = bytearray(n)
     inside[root] = 1
-    is_used = bytearray(len(colours))
     adm = [0] * n
     front = 0
-    for h, _ in out_lists[root]:
+    for h in g.out_heads[root]:
         adm[h] = 1
         front |= 1 << h
     by_adm = [0] * (n + 1)
     by_adm[1] = front
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, ColouredEdge] = {}
     failed: set[int] = set()
 
-    def take(v: int, c: int) -> bool:
+    def take(v: int, c: int) -> list[int]:
         nonlocal live, front
-        is_used[c] = 1
+        heads_of[c] -= spent
         live -= 1  # c enters v, which is still outside
-        for t, h in colour_edges[c]:
-            bit = 1 << h
-            reach[t] ^= bit
+        taken = colour_edges[c]
+        for e in taken:
+            t = e[0]
+            h = e[1]
             if inside[t] and not inside[h]:
+                bit = 1 << h
                 a = adm[h]
                 by_adm[a] ^= bit
                 adm[h] = a = a - 1
@@ -266,15 +271,17 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 else:
                     front ^= bit
         inside[v] = 1
-        for _, k in in_lists[v]:
+        for e in in_edges[v]:
+            k = e[2]
             heads_of[k] -= 1
-            if not heads_of[k] and not is_used[k]:
+            if not heads_of[k]:
                 live -= 1
         if adm[v]:
             by_adm[adm[v]] ^= 1 << v
             front ^= 1 << v
-        for h, k in out_lists[v]:
-            if not inside[h] and not is_used[k]:
+        for e in out_edges[v]:
+            h = e[1]
+            if not inside[h] and heads_of[e[2]] > 0:
                 bit = 1 << h
                 a = adm[h]
                 if a:
@@ -283,15 +290,13 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                     front ^= bit
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
-        for _, h in colour_edges[c]:
-            if not (inside[h] or adm[h]):
-                return True  # the child must rerun the reachability pass
-        return False
+        return [e[1] for e in taken if not (inside[e[1]] or adm[e[1]])]
 
     def untake(v: int, c: int) -> None:
         nonlocal live, front
-        for h, k in out_lists[v]:
-            if not inside[h] and not is_used[k]:
+        for e in out_edges[v]:
+            h = e[1]
+            if not inside[h] and heads_of[e[2]] > 0:
                 bit = 1 << h
                 a = adm[h]
                 by_adm[a] ^= bit
@@ -303,15 +308,17 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         if adm[v]:
             by_adm[adm[v]] ^= 1 << v
             front ^= 1 << v
-        for _, k in in_lists[v]:
-            if not heads_of[k] and not is_used[k]:
+        for e in in_edges[v]:
+            k = e[2]
+            if not heads_of[k]:
                 live += 1
             heads_of[k] += 1
         inside[v] = 0
-        for t, h in colour_edges[c]:
-            bit = 1 << h
-            reach[t] |= bit
+        for e in colour_edges[c]:
+            t = e[0]
+            h = e[1]
             if inside[t] and not inside[h]:
+                bit = 1 << h
                 a = adm[h]
                 if a:
                     by_adm[a] ^= bit
@@ -320,9 +327,23 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
         live += 1
-        is_used[c] = 0
+        heads_of[c] += spent
 
-    def grow(tree: int, used: int, recheck: bool) -> bool:
+    def reached(h: int) -> bool:
+        """Whether outside h is reachable from the tree along unused-colour edges."""
+        seen = {h}
+        todo = [h]
+        for x in todo:
+            for e in in_edges[x]:
+                t = e[0]
+                if heads_of[e[2]] > 0 and t not in seen:
+                    if inside[t]:
+                        return True
+                    seen.add(t)
+                    todo.append(t)
+        return False
+
+    def grow(tree: int, used: int, cut: list[int] | None) -> bool:
         if tree == full:
             return True
         key = tree | used << n
@@ -333,22 +354,13 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         if live < n - tree.bit_count():
             failed.add(key)
             return False
-        if recheck:
-            # Bitset BFS: the outside vertices reachable from the tree along
-            # unused-colour edges, starting from those one frontier edge away.
-            seen = tree | front
-            todo = front
-            while todo and seen != full:
-                nxt = 0
-                while todo:
-                    low = todo & -todo
-                    nxt |= reach[low.bit_length() - 1]
-                    todo ^= low
-                todo = nxt & ~seen
-                seen |= todo
-            if seen != full:
+        if cut is None:  # the root state
+            if len(forward_closure(g.out_heads, (root,))) < n:
                 failed.add(key)
                 return False
+        elif cut and not all(map(reached, cut)):
+            failed.add(key)
+            return False
         # Branching over every admissible frontier edge is complete: any
         # extension tree must leave the current vertex set through one of
         # them. Heads come in (adm, v) order, bucket by bucket and each
@@ -364,11 +376,13 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 vbit = todo & -todo
                 todo ^= vbit
                 v = vbit.bit_length() - 1
-                for t, c in in_lists[v]:
-                    if not inside[t] or is_used[c]:
+                for e in in_edges[v]:
+                    t = e[0]
+                    c = e[2]
+                    if not inside[t] or heads_of[c] < 0:
                         continue
-                    parent[v] = (t, c)
-                    if grow(tree | vbit, used | (1 << c), take(v, c)):
+                    parent[v] = e
+                    if grow(tree | vbit, used | colour_bit[c], take(v, c)):
                         return True
                     untake(v, c)
         failed.add(key)
@@ -379,12 +393,14 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)
     try:
-        if not grow(1 << root, 0, True):
+        if not grow(1 << root, 0, None):
             return None
     finally:
         sys.setrecursionlimit(limit)
-    edges = {v: ColouredEdge(t, v, colours[c]) for v, (t, c) in parent.items()}
-    return _verified(g, ArborescenceCertificate(root, edges), "exact solver")
+        # grow reaches itself through its closure; without this the search
+        # state stays in memory until the cyclic collector runs.
+        del grow
+    return _verified(g, ArborescenceCertificate(root, parent), "exact solver")
 
 
 _COLOUR_COMBO_CAP = 2048
@@ -457,14 +473,16 @@ def decide_exact(
     Failed (vertex set, colour set) states are memoised: whether a partial
     tree extends to a spanning one depends only on which vertices it covers
     and which colours it has consumed, never on its internal shape. The
-    search keeps per-vertex and per-colour counters and reachability
-    bitmasks for the current state and updates them when a branch takes an
-    edge, undoing the update when the branch returns. A child reruns the
-    reachability pass only when the taken colour leaves some outside vertex
-    it entered with no frontier edge; otherwise every path of its parent
-    survives through that vertex's frontier edge. So a node costs
-    O(size of the taken colour class) integer operations when it skips the
-    pass and O(n) when it reruns it (see _search_root).
+    search keeps per-vertex and per-colour counters for the current state,
+    on the graph's own edge lists, and updates them when a branch takes an
+    edge, undoing the update when the branch returns. Reachability is
+    checked in full only at the root; a child checks only the outside
+    vertices that the taken colour entered and that have no frontier edge
+    left, by a backward search from each until it meets the tree, since
+    every other path of its parent survives. So a node costs O(size of the
+    taken colour class + degree of the entered vertex) integer operations
+    plus those searches, which usually stop within a step or two, and the
+    search frees all of its state when it returns (see _search_root).
     """
     _check_root(g.n, root)
     roots = _candidate_roots(g, root)

@@ -122,11 +122,31 @@ def test_oversized_numbers_are_one_line_errors(tmp_path):
         path = tmp_path / f"huge{i}.txt"
         path.write_text(header + "\n")
         argvs += [["decide", "--input", str(path)], ["assign", "--input", str(path)]]
-    for argv in argvs:
+    wording = ["m = inf outside [0, 6] for n = 3"] + ["--n must be at most 2^32"] * 4
+    wording += [f"vertex count n = {huge} is too large"] * 2 + [f"colour count W = {huge} is too large"] * 2
+    for argv, words in zip(argvs, wording, strict=True):
         code, out, err = run_cli(argv)
         assert code == 1 and out == "", argv
         assert err.startswith("arborsim: ") and err.count("\n") == 1, argv
         assert "Traceback" not in err
+        assert words in err, (argv, err)
+
+
+def test_sizes_memory_cannot_hold_are_one_line_errors(tmp_path):
+    # 2^62 list slots exceed any address space, so the allocation fails at
+    # once, before any memory is touched
+    big = 2**62
+    argvs = [(["hitting-times", "--n", "3", "--colours", str(big)], f"colour count W = {big}")]
+    for i, (header, words) in enumerate(((f"3 {big}", f"colour count W = {big}"),
+                                         (f"{big} 5", f"vertex count n = {big}"))):
+        path = tmp_path / f"big{i}.txt"
+        path.write_text(header + "\n")
+        argvs += [(["decide", "--input", str(path)], words), (["assign", "--input", str(path)], words)]
+    for argv, words in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("arborsim: ") and err.count("\n") == 1, argv
+        assert err.endswith(f"{words} is too large to hold in memory\n"), err
 
 
 def test_theorem_check_at_n1000():

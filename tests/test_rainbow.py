@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import pathlib
@@ -23,9 +24,9 @@ from arborsim.rainbow import (
     _search_root,
     verify_certificate,
 )
-from arborsim.process import ProcessConfig, ProcessTrace
-from arborsim.rng import SplitMix64
-from helpers import graph_from_edges, random_graph
+from arborsim.experiments import run_theorem_experiment
+from arborsim.rng import SplitMix64, derive_trial_seed
+from helpers import graph_from_edges, prefix_at_m, random_graph
 
 
 def test_verify_certificate_examples():
@@ -213,18 +214,49 @@ def test_exact_search_deeper_than_the_default_recursion_limit():
     # The prefix at M = max(m_C, m_Z) of an n = 1,200 trace: the search
     # grows a tree of 1,200 vertices, one grow frame per vertex.
     n = 1200
-    trace = ProcessTrace(ProcessConfig(n, "auto", 5))
-    g = ColouredDigraph(n, trace.colour_count)
-    for e in trace.prefix(trace.total_edges):
-        g.add_edge(e)
-        if g.distinct_colours >= n - 1 and g.zero_in_count <= 1:
-            break
+    g = prefix_at_m(n, 5)
     limit = sys.getrecursionlimit()
     assert limit < n
     result = decide(g, mode="exact")
     assert result.outcome == "found" and result.decided_by == "exact"
     assert verify_certificate(g, result.certificate)
     assert sys.getrecursionlimit() == limit
+
+
+def test_exact_decisions_free_their_state_on_return(monkeypatch):
+    # With the cyclic collector off, what only it could free stays behind
+    # and gc.collect() counts it. A search whose closures keep its tables
+    # alive leaves about 4,200 objects after an n = 200 decision, and a
+    # search stopped by its budget leaves its whole memo.
+    searches = []
+    search = rainbow._search_root
+
+    def counted_search(g, root, deadline):
+        searches.append(root)
+        return search(g, root, deadline)
+
+    monkeypatch.setattr(rainbow, "_search_root", counted_search)
+    # Inputs 0 and 2 of the exact-n200 benchmark at seeds 1 and 4, and op 34
+    # of theorem-n200 at seed 1, whose heuristic fails and whose colours
+    # collide too much for colour enumeration.
+    found = prefix_at_m(200, derive_trial_seed(1 * 10**6, 0))
+    slow = prefix_at_m(200, derive_trial_seed(4 * 10**6 + 2, 0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert decide(found, mode="exact").outcome == "found"
+        assert searches and gc.collect() == 0
+        assert decide(slow, mode="exact", budget_s=0.05).outcome == "unknown"
+        assert gc.collect() == 0
+        searches.clear()
+        report = run_theorem_experiment(n=200, trials=1, seed=1 * 10**6 + 34, threads=1)
+        (row,) = report.rows
+        assert searches and dict(zip(report.columns, row))["r_decision_mode"] == "exact"
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_heuristic_star_one_pass():

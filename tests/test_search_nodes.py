@@ -24,10 +24,9 @@ import sys
 import pytest
 
 from arborsim.digraph import ColouredDigraph
-from arborsim.process import ProcessConfig, ProcessTrace
 from arborsim.rainbow import _candidate_roots, _search_root
 from arborsim.rng import SplitMix64, derive_trial_seed
-from helpers import random_graph
+from helpers import prefix_at_m, random_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "search_nodes.json"
 
@@ -68,22 +67,11 @@ def _small_cases() -> list[dict]:
     return cases
 
 
-def _prefix_at_m(n: int, seed: int) -> ColouredDigraph:
-    """The prefix of the n-vertex trace at M = max(m_C, m_Z), as exact-n200 builds it."""
-    trace = ProcessTrace(ProcessConfig(n, "auto", seed))
-    g = ColouredDigraph(n, trace.colour_count)
-    for e in trace.prefix(trace.total_edges):
-        g.add_edge(e)
-        if g.distinct_colours >= n - 1 and g.zero_in_count <= 1:
-            return g
-    return g
-
-
 def _exact_n200_cases() -> list[dict]:
     cases = []
     for i in range(8):
         # input i of the exact-n200 workload at benchmark seed 1
-        g = _prefix_at_m(200, derive_trial_seed(1 * 10**6 + i, 0))
+        g = prefix_at_m(200, derive_trial_seed(1 * 10**6 + i, 0))
         for r in _candidate_roots(g, None):
             cases.append(_case(f"exact-n200 seed 1 input {i} root {r}", g, r))
             if cases[-1]["certificate"] is not None:
