@@ -317,11 +317,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    process = args.command in ("simulate", "hitting-times") or (
-        args.command == "experiment" and args.kind != "mapping")
+    mapping = args.command == "mapping" or (
+        args.command == "experiment" and args.kind == "mapping")
+    process = args.command in ("simulate", "hitting-times", "experiment") and not mapping
     if process and args.n > MAX_PROCESS_N:
         print(f"arborsim: --n must be at most 2^32, as the process draws its "
               f"n(n - 1) ordered pairs below 2^64, got {args.n}", file=sys.stderr)
+        return 1
+    if mapping and args.n > 2**64:
+        print(f"arborsim: --n must be at most 2^64, as a mapping draws each "
+              f"in-neighbour below n, got {args.n}", file=sys.stderr)
         return 1
     try:
         if args.command == "simulate":

@@ -11,9 +11,7 @@ formatting throughout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from arborsim.hitting import hitting_times
 from arborsim.mappings import cycle_components, epidemic_spread, loop_count, sample_mapping
@@ -47,13 +45,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     name: str
     params: dict
     columns: list[str]
     rows: list[tuple]
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
     def to_csv(self) -> str:
         lines = [f"# schema={SCHEMA}", f"# experiment={self.name}"]
@@ -101,6 +98,10 @@ def _run_rows(worker: Callable, args: Sequence, threads: int) -> list:
     workers = min(threads, len(args))
     if workers <= 1:
         return [worker(a) for a in args]
+    # Imported only when workers start: the pool's modules (multiprocessing,
+    # socket, pickle, ...) take longer to load than a one-trial run's work.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(args) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args, chunksize=chunk))

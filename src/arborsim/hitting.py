@@ -21,8 +21,8 @@ in auto and exact modes; in heuristic mode it is the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.process import ProcessTrace
@@ -31,8 +31,7 @@ from arborsim.rainbow import BudgetExceededError, decide, heuristic_construct
 R_MODES = ("oracle", "exact", "heuristic", "auto")
 
 
-@dataclass
-class HittingTimes:
+class HittingTimes(NamedTuple):
     m_c: int | None
     m_z: int
     m_a: int

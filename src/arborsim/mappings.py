@@ -8,22 +8,20 @@ forward closure of an initially infected set along those edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from arborsim.digraph import forward_closure
 from arborsim.rng import MAPPING_STREAM, SplitMix64, derive_stream_seed
 
 
-@dataclass
-class RandomMapping:
+class RandomMapping(NamedTuple):
     n: int
     in_nbr: list[int]  # v's chosen in-neighbour; edge (in_nbr[v] -> v)
     loopless: bool
 
 
-@dataclass
-class MappingComponent:
+class MappingComponent(NamedTuple):
     vertices: list[int]  # sorted
     # in in-neighbour walk order (in_nbr[cycle[i]] == cycle[(i+1) % len]),
     # rotated to start at the lowest cycle vertex

@@ -10,25 +10,22 @@ N(S) contained in T certifies the Hall violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge
 
 
-@dataclass
-class ColourBipartiteGraph:
+class ColourBipartiteGraph(NamedTuple):
     n: int
     adjacency: list[list[int]]  # per vertex, sorted distinct colours on its in-edges
 
 
-@dataclass
-class ColourAssignment:
+class ColourAssignment(NamedTuple):
     root: int
     mapping: dict[int, int]  # vertex -> colour, injective, defined on V \ {root}
 
 
-@dataclass
-class KWitness:
+class KWitness(NamedTuple):
     vertices: list[int]  # S, sorted
     colours: list[int]  # T, sorted; |T| = |S| - 1 and N(S) subset of T
 

@@ -11,9 +11,8 @@ edges: every read of a prefix streams it afresh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from arborsim import edgelist
 from arborsim.digraph import ColouredDigraph, ColouredEdge
@@ -47,18 +46,24 @@ def auto_colour_count(n: int) -> int:
     return max(1, n - 1, raw)
 
 
-@dataclass(frozen=True)
-class ProcessConfig:
+class _ProcessFields(NamedTuple):
     n: int
-    colour_count: int | str = "auto"
-    master_seed: int = 0
+    colour_count: int | str
+    master_seed: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.colour_count != "auto":
-            if not isinstance(self.colour_count, int) or self.colour_count < 1:
-                raise ValueError(f"colour_count must be 'auto' or a positive int, got {self.colour_count!r}")
+
+# A NamedTuple cannot override __new__ in its own body, so the checks run
+# in a subclass.
+class ProcessConfig(_ProcessFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, colour_count: int | str = "auto", master_seed: int = 0):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        if colour_count != "auto":
+            if not isinstance(colour_count, int) or colour_count < 1:
+                raise ValueError(f"colour_count must be 'auto' or a positive int, got {colour_count!r}")
+        return super().__new__(cls, n, colour_count, master_seed)
 
     @property
     def resolved_colour_count(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, forward_closure, spanning_roots
 from arborsim.matching import (
@@ -31,14 +31,12 @@ class BudgetExceededError(RuntimeError):
     """A per-decision time budget ran out; the decision is unknown."""
 
 
-@dataclass
-class ArborescenceCertificate:
+class ArborescenceCertificate(NamedTuple):
     root: int
     parent_edge: dict[int, ColouredEdge]  # v -> its in-edge, for every v != root
 
 
-@dataclass
-class HeuristicOutcome:
+class HeuristicOutcome(NamedTuple):
     """A heuristic attempt: a verified certificate, or why none was built.
 
     failure_reason is None on success, else "no injective colour
@@ -53,8 +51,7 @@ class HeuristicOutcome:
         return self.certificate is not None
 
 
-@dataclass
-class DecideResult:
+class DecideResult(NamedTuple):
     outcome: str  # "found" | "not_found" | "unknown"
     certificate: ArborescenceCertificate | None = None
     decided_by: str = "exact"  # "oracle" | "exact" | "heuristic"

@@ -118,11 +118,13 @@ def test_oversized_numbers_are_one_line_errors(tmp_path):
     argvs += [["experiment", kind, "--n", huge, "--trials", "1"]
               for kind in ("poisson", "coupon", "theorem")]
     argvs.append(["hitting-times", "--n", huge])
+    argvs += [["mapping", "--n", huge], ["experiment", "mapping", "--n", huge, "--trials", "1"]]
     for i, header in enumerate((f"{huge} 5", f"3 {huge}")):
         path = tmp_path / f"huge{i}.txt"
         path.write_text(header + "\n")
         argvs += [["decide", "--input", str(path)], ["assign", "--input", str(path)]]
     wording = ["m = inf outside [0, 6] for n = 3"] + ["--n must be at most 2^32"] * 4
+    wording += ["--n must be at most 2^64"] * 2
     wording += [f"vertex count n = {huge} is too large"] * 2 + [f"colour count W = {huge} is too large"] * 2
     for argv, words in zip(argvs, wording, strict=True):
         code, out, err = run_cli(argv)

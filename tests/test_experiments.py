@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import pathlib
 
@@ -84,7 +85,8 @@ def test_worker_count_is_capped_at_the_trial_count(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    # _run_rows imports the pool class when it starts workers, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     run = lambda trials, threads: run_poisson_experiment(
         300, 0.5, trials, seed=3, threads=threads).to_csv()
     assert run(3, 8) == run(3, 1)
