@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
-from arborsim.digraph import forward_closure
+from arborsim.digraph import _zeros, forward_closure
 from arborsim.rng import MAPPING_STREAM, SplitMix64, derive_stream_seed
 
 
@@ -33,14 +33,12 @@ def sample_mapping(n: int, loopless: bool = False, seed: int = 0) -> RandomMappi
         raise ValueError(f"loopless mapping needs n >= 2, got {n}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    # allocated before the first draw, so an n that memory cannot hold is a
+    # ValueError at once rather than a list growing until the process dies
+    in_nbr = _zeros(n, "mapping size n")
     rng = SplitMix64(derive_stream_seed(seed, MAPPING_STREAM))
-    # counted by range, not repeat(b, n): an n beyond sys.maxsize must reach
-    # the draw's bound check and fail there as a ValueError
-    draws = zip(range(n), rng.below_each(repeat(n - 1 if loopless else n)))
-    if loopless:
-        in_nbr = [u + 1 if u >= v else u for v, u in draws]
-    else:
-        in_nbr = [u for _, u in draws]
+    for v, u in enumerate(rng.below_each(repeat(n - 1 if loopless else n, n))):
+        in_nbr[v] = u + 1 if loopless and u >= v else u
     return RandomMapping(n, in_nbr, loopless)
 
 

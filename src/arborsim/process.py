@@ -153,11 +153,11 @@ def sample_dnp(n: int, p: float, colour_count: int, seed: int) -> ColouredDigrap
     if n == 1 or p == 0.0:
         return g
     total = n * (n - 1)
-    crng = SplitMix64(derive_stream_seed(seed, COLOUR_STREAM))
+    colours = SplitMix64(derive_stream_seed(seed, COLOUR_STREAM)).below_each(repeat(colour_count))
     if p == 1.0:
-        for k in range(total):
+        for k, colour in zip(range(total), colours):
             tail, head = pair_from_index(n, k)
-            g.add_edge(ColouredEdge(tail, head, crng.below(colour_count)))
+            g.add_edge(ColouredEdge(tail, head, colour))
         return g
     rng = SplitMix64(derive_stream_seed(seed, PRESENCE_STREAM))
     log1mp = math.log1p(-p)
@@ -168,5 +168,5 @@ def sample_dnp(n: int, p: float, colour_count: int, seed: int) -> ColouredDigrap
         if k >= total:
             break
         tail, head = pair_from_index(n, k)
-        g.add_edge(ColouredEdge(tail, head, crng.below(colour_count)))
+        g.add_edge(ColouredEdge(tail, head, next(colours)))
     return g

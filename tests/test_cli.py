@@ -138,7 +138,9 @@ def test_sizes_memory_cannot_hold_are_one_line_errors(tmp_path):
     # 2^62 list slots exceed any address space, so the allocation fails at
     # once, before any memory is touched
     big = 2**62
-    argvs = [(["hitting-times", "--n", "3", "--colours", str(big)], f"colour count W = {big}")]
+    argvs = [(["hitting-times", "--n", "3", "--colours", str(big)], f"colour count W = {big}"),
+             (["mapping", "--n", str(big), "--loopless", "--samples", "1", "--threads", "1"],
+              f"mapping size n = {big}")]
     for i, (header, words) in enumerate(((f"3 {big}", f"colour count W = {big}"),
                                          (f"{big} 5", f"vertex count n = {big}"))):
         path = tmp_path / f"big{i}.txt"

@@ -16,6 +16,7 @@ from arborsim.process import (
     round_half_up,
     sample_dnp,
 )
+from arborsim.rng import COLOUR_STREAM, PRESENCE_STREAM, SplitMix64, derive_stream_seed
 
 CHI2_CRIT_5DF_999 = 20.515  # chi-square critical value, 5 df, significance 0.001
 
@@ -185,6 +186,31 @@ def test_sample_dnp_determinism():
     a = sample_dnp(30, 0.2, 4, 9)
     b = sample_dnp(30, 0.2, 4, 9)
     assert a.edges == b.edges
+
+
+def sample_dnp_per_call(n, p, colour_count, seed):
+    # the sampler as first written: one below() call per present edge
+    total = n * (n - 1)
+    crng = SplitMix64(derive_stream_seed(seed, COLOUR_STREAM))
+    if p == 1.0:
+        present = range(total)
+    else:
+        rng = SplitMix64(derive_stream_seed(seed, PRESENCE_STREAM))
+        present = []
+        k = -1
+        while True:
+            k += 1 + int(math.log(rng.unit_positive()) / math.log1p(-p))
+            if k >= total:
+                break
+            present.append(k)
+    return [(*pair_from_index(n, k), crng.below(colour_count)) for k in present]
+
+
+def test_sample_dnp_colours_match_per_call_draws():
+    for seed in range(6):
+        for n, p, w in ((2, 1.0, 3), (7, 1.0, 5), (30, 0.2, 4), (50, 0.05, 1000)):
+            edges = [tuple(e) for e in sample_dnp(n, p, w, seed).edges]
+            assert edges == sample_dnp_per_call(n, p, w, seed), (seed, n, p)
 
 
 def test_sample_dnp_indicator_independence():

@@ -4,7 +4,7 @@ from itertools import islice, repeat
 
 import pytest
 
-from arborsim.rng import MASK64, SplitMix64, derive_trial_seed, mix64
+from arborsim.rng import GOLDEN_GAMMA, MASK64, SplitMix64, _block, derive_trial_seed, mix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -104,6 +104,57 @@ def test_below_after_partial_below_each_continues_the_stream():
     # resuming the iterator picks up after the interleaved draw: its last
     # four draws are the stream's fourth to seventh
     assert list(it) == expected[3:]
+
+
+# states at and next to the 2^64 wrap-around: from the last three, the
+# first, third or 1,024th lane of a block steps onto state 0
+WRAP_STATES = [0, 1, 2**63, MASK64, -GOLDEN_GAMMA & MASK64, -3 * GOLDEN_GAMMA & MASK64,
+               -1024 * GOLDEN_GAMMA & MASK64]
+
+
+def test_block_equals_scalar_steps():
+    for k in [2**i for i in range(11)] + [3, 1000]:
+        for state in WRAP_STATES + [0x0123456789ABCDEF]:
+            rng = SplitMix64(state)
+            expected = []
+            for _ in range(k):
+                expected += [rng.next_u64(), rng._state]
+            assert _block(state, k) == expected, (k, state)
+
+
+def test_abandoned_below_each_leaves_the_drawn_state():
+    # the buffer runs ahead of the draws, but the generator's state must
+    # stand after the last draw taken, wherever the iterator is dropped
+    bounds = MIXED_BOUNDS * 240
+    for seed in (3, MASK64):
+        ref = SplitMix64(seed)
+        states = [ref._state]
+        for b in bounds[:2100]:
+            below_reference(ref, b)
+            states.append(ref._state)
+        for taken, state in enumerate(states):
+            rng = SplitMix64(seed)
+            it = rng.below_each(bounds)
+            assert len(list(islice(it, taken))) == taken
+            del it
+            assert rng._state == state, (seed, taken)
+
+
+@pytest.mark.parametrize("at", [1, 2, 3, 1023, 1024, 1025, 2047, 2048])
+def test_draws_interleaved_at_block_boundaries(at):
+    bounds = MIXED_BOUNDS * 250
+    for seed in (11, -GOLDEN_GAMMA & MASK64):
+        rng = SplitMix64(seed)
+        it = rng.below_each(bounds)
+        got = list(islice(it, at))
+        got += [rng.below(1000), rng.next_u64(), rng.below(2**63 + 1), rng.next_u64()]
+        got += list(islice(it, 1100)) + [rng.next_u64()]
+        ref = SplitMix64(seed)
+        expected = [below_reference(ref, b) for b in bounds[:at]]
+        expected += [below_reference(ref, 1000), ref.next_u64(),
+                     below_reference(ref, 2**63 + 1), ref.next_u64()]
+        expected += [below_reference(ref, b) for b in bounds[at:at + 1100]] + [ref.next_u64()]
+        assert got == expected, (seed, at)
 
 
 def test_below_is_roughly_uniform():
