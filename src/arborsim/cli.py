@@ -26,7 +26,7 @@ from arborsim.experiments import (
 from arborsim.hitting import hitting_times
 from arborsim.matching import build_colour_bigraph, find_colour_assignment, find_k_witness
 from arborsim.process import ProcessConfig, generate_trace
-from arborsim.rainbow import OracleTooLargeError, decide
+from arborsim.rainbow import MODES, OracleTooLargeError, decide
 
 DEFAULT_SEED = 1729
 # The process draws its n(n - 1) ordered pairs below 2^64.
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="colour count or 'auto' (default auto)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"64-bit seed or 'random' (default {DEFAULT_SEED})")
-    p.add_argument("--r-mode", choices=["exact", "heuristic", "auto"],
+    p.add_argument("--r-mode", choices=MODES[1:],
                    default="auto", help="rainbow decision mode (default auto)")
     p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="per-decision budget in ms (default 10000)")
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--root", type=_root, default=None,
                    help="1-based root id or 'any' (default any)")
-    p.add_argument("--mode", choices=["oracle", "exact", "heuristic", "auto"],
+    p.add_argument("--mode", choices=MODES,
                    default="auto", help="decision procedure (default auto)")
     p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="decision budget in ms (default 10000)")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"64-bit master seed or 'random' (default {DEFAULT_SEED})")
     p.add_argument("--c", type=_finite, default=0.0,
                    help="offset c in m = n(log n + c), poisson only (default 0)")
-    p.add_argument("--r-mode", choices=["oracle", "exact", "heuristic", "auto"],
+    p.add_argument("--r-mode", choices=MODES,
                    default="auto", help="rainbow decision mode, theorem only")
     p.add_argument("--budget-ms", type=_non_negative, default=10000,
                    help="per-decision budget in ms, theorem only (default 10000)")

@@ -85,14 +85,17 @@ class ColouredDigraph:
         self.in_edges[head].append(e)
         self.out_heads[tail].append(head)
 
-    def has_edge(self, tail: int, head: int) -> bool:
-        return tail * self.n + head in self._colour_of_pair
-
     def edge_colour(self, tail: int, head: int) -> int | None:
         return self._colour_of_pair.get(tail * self.n + head)
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _check_root(n: int, root: int | None) -> None:
+    """ValueError unless root is None or a vertex of an n-vertex graph."""
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root {root} out of range [0, {n})")
 
 
 def forward_closure(adjacency: list[list[int]], roots: Iterable[int]) -> set[int]:
@@ -112,8 +115,7 @@ def reachable_from(g: ColouredDigraph, roots: Iterable[int]) -> set[int]:
     """Forward closure of `roots` under the directed edges of g."""
     roots = set(roots)
     for v in roots:
-        if not 0 <= v < g.n:
-            raise ValueError(f"root {v} out of range [0, {g.n})")
+        _check_root(g.n, v)
     return forward_closure(g.out_heads, roots)
 
 

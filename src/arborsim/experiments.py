@@ -64,34 +64,6 @@ class ExperimentReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text: str) -> ExperimentReport:
-    """String-level inverse of to_csv (values stay strings)."""
-    params: dict = {}
-    summary: dict = {}
-    columns: list[str] = []
-    rows: list[tuple] = []
-    name = ""
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("# "):
-            body = line[2:]
-            if body.startswith("experiment="):
-                name = body.split("=", 1)[1]
-            elif body.startswith("param."):
-                key, value = body[len("param."):].split("=", 1)
-                params[key] = value
-            elif body.startswith("summary."):
-                key, value = body[len("summary."):].split("=", 1)
-                summary[key] = value
-            continue
-        if not columns:
-            columns = line.split(",")
-        else:
-            rows.append(tuple(line.split(",")))
-    return ExperimentReport(name, params, columns, rows, summary)
-
-
 def _run_rows(worker: Callable, args: Sequence, threads: int) -> list:
     # The pool forks all its workers at the first submit, so never ask for
     # more than there are rows.
@@ -275,7 +247,7 @@ def _degree_trial(args: tuple) -> tuple:
     m_minus = math.floor(n * (log_n - loglog_n))
     m_plus = math.ceil(n * (log_n + loglog_n))
     m_plus = min(m_plus, trace.total_edges)
-    edges = list(trace.prefix(m_plus))
+    g = trace.graph_at(m_plus)
 
     subset_size = round_half_up(45.0 * eps * n)
     subset_size = min(subset_size, w)
@@ -287,23 +259,18 @@ def _degree_trial(args: tuple) -> tuple:
         for colour in srng.sample_distinct(w, subset_size):
             member[colour] = 1
         deg = [0] * n
-        for e in edges[:m_minus]:
+        for e in g.edges[:m_minus]:
             if member[e.colour]:
                 deg[e.head] += 1
         low_counts.append(sum(1 for v in range(n) if deg[v] <= deg_threshold))
 
-    colour_mult = [0] * w
-    vertex_deg = [0] * n
     per_vertex_colour: dict[tuple[int, int], int] = {}
-    for e in edges:
-        colour_mult[e.colour] += 1
-        vertex_deg[e.tail] += 1
-        vertex_deg[e.head] += 1
+    for e in g.edges:
         for v in (e.tail, e.head):
             key = (v, e.colour)
             per_vertex_colour[key] = per_vertex_colour.get(key, 0) + 1
-    max_mult = max(colour_mult)
-    max_deg = max(vertex_deg)
+    max_mult = max(g.colour_mult)
+    max_deg = max(d + len(out) for d, out in zip(g.in_deg, g.out_heads))
     max_same = max(per_vertex_colour.values()) if per_vertex_colour else 0
     return (trial, seed, max_mult, max_deg, max_same,
             min(low_counts), max(low_counts),

@@ -26,9 +26,7 @@ from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.process import ProcessTrace
-from arborsim.rainbow import BudgetExceededError, decide, heuristic_construct
-
-R_MODES = ("oracle", "exact", "heuristic", "auto")
+from arborsim.rainbow import MODES, BudgetExceededError, decide, heuristic_construct
 
 
 class HittingTimes(NamedTuple):
@@ -101,6 +99,7 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     counter and (if it ever can) the C counter cross; m_A and m_R come from
     galloping upward on it, from m_Z and max(m_A, m_C), then bisecting the
     last bracket on graphs rebuilt from the first edges of the grown one.
+    Each of those probes is event_holds on the prefix graph.
 
     R needs C and A, so the heuristic runs once, at m_Z, only when
     max(m_A, m_C) = m_Z (on the grown graph itself), from its one vertex
@@ -112,8 +111,8 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     solver, the budget applying per rainbow decision. Oracle, the
     brute-force reference, always searches.
     """
-    if r_mode not in R_MODES:
-        raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {R_MODES}")
+    if r_mode not in MODES:
+        raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {MODES}")
     n = trace.n
     total = trace.total_edges
     need_colours = n - 1
@@ -144,10 +143,7 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
             g.add_edge(e)
         return g
 
-    def arb_at(m: int) -> bool:
-        return has_spanning_arborescence(graph(m))
-
-    m_a = gallop(m_z, total, arb_at)
+    m_a = gallop(m_z, total, lambda m: event_holds(graph(m), "A"))
     assert m_a is not None  # the complete digraph has a spanning arborescence
 
     if m_c is None:
@@ -165,14 +161,9 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     if at_z and r_mode in ("auto", "exact"):  # a verified certificate at the lower bound
         return HittingTimes(m_c, m_z, m_a, m_z, "exact", True)
 
-    def rainbow_at(m: int) -> bool:
-        result = decide(graph(m), mode=r_mode, budget_s=budget_s)
-        if result.outcome == "unknown":
-            raise BudgetExceededError("rainbow decision budget exhausted")
-        return result.outcome == "found"
-
     try:
-        m_r = gallop(max(m_a, m_c), total, rainbow_at)
+        m_r = gallop(max(m_a, m_c), total,
+                     lambda m: event_holds(graph(m), "R", r_mode, budget_s))
     except BudgetExceededError:
         return HittingTimes(m_c, m_z, m_a, None, "unknown", at_z)
     return HittingTimes(m_c, m_z, m_a, m_r, "exact", at_z)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge
+from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root
 
 
 class ColourBipartiteGraph(NamedTuple):
@@ -96,8 +96,7 @@ def _maximum_matching(
 
 
 def find_colour_assignment(b: ColourBipartiteGraph, root: int) -> ColourAssignment | None:
-    if not 0 <= root < b.n:
-        raise ValueError(f"root {root} out of range [0, {b.n})")
+    _check_root(b.n, root)
     match_v, tree = _maximum_matching(b, root)
     if tree is not None:
         return None
@@ -113,8 +112,7 @@ def find_k_witness(b: ColourBipartiteGraph, root: int) -> KWitness | None:
     matched into T and every colour of T is matched into S, which forces
     |T| = |S| - 1 exactly.
     """
-    if not 0 <= root < b.n:
-        raise ValueError(f"root {root} out of range [0, {b.n})")
+    _check_root(b.n, root)
     _, tree = _maximum_matching(b, root)
     if tree is None:
         return None

@@ -15,12 +15,15 @@ import time
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge, forward_closure, spanning_roots
+from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
 from arborsim.matching import (
     assignment_roots,
     build_colour_bigraph,
     find_colour_assignment,
 )
+
+# The decision modes of decide; hitting_times and the CLI take the same names.
+MODES = ("oracle", "exact", "heuristic", "auto")
 
 
 class OracleTooLargeError(RuntimeError):
@@ -55,11 +58,6 @@ class DecideResult(NamedTuple):
     outcome: str  # "found" | "not_found" | "unknown"
     certificate: ArborescenceCertificate | None = None
     decided_by: str = "exact"  # "oracle" | "exact" | "heuristic"
-
-
-def _check_root(n: int, root: int | None) -> None:
-    if root is not None and not 0 <= root < n:
-        raise ValueError(f"root {root} out of range [0, {n})")
 
 
 def verify_certificate(g: ColouredDigraph, cert: ArborescenceCertificate) -> bool:
@@ -113,13 +111,18 @@ def brute_force_oracle(
 ) -> ArborescenceCertificate | None:
     """Exhaustive ground truth: every root, every in-edge selection.
 
-    Raises OracleTooLargeError instead of ever guessing when the search
-    space for some root exceeds `guard` and no certificate was found among
-    the affordable roots.
+    It uses no root-selection rule, so it checks that rule independently.
+    Fewer than n - 1 colours answer None at once, and a root is skipped
+    when some other vertex has no in-edge, so two in-degree-zero vertices
+    skip every root. Raises OracleTooLargeError instead of ever guessing
+    when the search space for some root exceeds `guard` and no certificate
+    was found among the affordable roots.
     """
     from itertools import product
 
     n = g.n
+    if g.distinct_colours < n - 1:
+        return None
     deferred = False
     roots = range(n) if root is None else [root]
     for root in roots:
@@ -597,23 +600,20 @@ def decide(
     root: int | None = None,
     budget_s: float | None = 10.0,
 ) -> DecideResult:
-    """Unified entry point for the three solvers.
+    """Unified entry point for the three solvers; mode is one of MODES.
 
-    oracle / exact are two-sided; heuristic is one-sided (not_found means
-    "no certificate constructed"). heuristic and auto run the heuristic from
-    the first _HEURISTIC_TRIES candidate roots, the ones the exact search
-    would try first (see _candidate_roots), and skip it when there are
-    none. auto uses it as a fast accept path and falls back to the exact
-    search, so it stays two-sided.
+    oracle / exact are two-sided; heuristic is one-sided (not_found
+    decided_by "heuristic" means "no certificate constructed"). heuristic
+    and auto first list the candidate roots (see _candidate_roots). An
+    empty list is a two-sided no, returned at once as not_found decided_by
+    "exact" with no solver run. Otherwise they run the heuristic from the
+    first _HEURISTIC_TRIES candidate roots, the ones the exact search
+    would try first. auto uses it as a fast accept path and falls back to
+    the exact search, so it stays two-sided.
     """
-    if mode not in ("oracle", "exact", "heuristic", "auto"):
+    if mode not in MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
-    n = g.n
-    _check_root(n, root)
-    if g.zero_in_count >= 2:
-        return DecideResult("not_found", decided_by="exact")
-    if g.distinct_colours < n - 1:
-        return DecideResult("not_found", decided_by="exact")
+    _check_root(g.n, root)
 
     if mode == "oracle":
         cert = brute_force_oracle(g, root=root)
@@ -622,7 +622,10 @@ def decide(
         )
 
     if mode in ("heuristic", "auto"):
-        for r in _candidate_roots(g, root)[:_HEURISTIC_TRIES]:
+        roots = _candidate_roots(g, root)
+        if not roots:
+            return DecideResult("not_found", decided_by="exact")
+        for r in roots[:_HEURISTIC_TRIES]:
             outcome = heuristic_construct(g, r)
             if outcome.success:
                 return DecideResult("found", outcome.certificate, decided_by="heuristic")

@@ -236,9 +236,21 @@ def test_decide_not_found_and_one_sided(tmp_path):
         f"{t} {h} {c}" for t, h, c in
         [(6, 1, 3), (3, 6, 5), (2, 6, 1), (5, 4, 4),
          (1, 5, 5), (3, 1, 5), (1, 2, 3), (3, 4, 2)]) + "\n")
-    code, out, _ = run_cli(["decide", "--input", str(hard), "--mode", "heuristic"])
+    # n - 1 colours and one in-degree-zero vertex, but no candidate root:
+    # a definitive no in every mode as well
+    for mode in ("heuristic", "exact"):
+        code, out, _ = run_cli(["decide", "--input", str(hard), "--mode", mode])
+        assert code == 0 and out.strip() == "NO RAINBOW ARBORESCENCE"
+
+    # candidate root 2 only, where the heuristic fails and exact search
+    # finds no rainbow arborescence
+    beaten = tmp_path / "beaten.txt"
+    beaten.write_text("5 5\n" + "\n".join(
+        f"{t} {h} {c}" for t, h, c in
+        [(1, 4, 4), (2, 3, 2), (1, 3, 3), (3, 4, 2), (5, 4, 1), (1, 5, 5), (4, 1, 2)]) + "\n")
+    code, out, _ = run_cli(["decide", "--input", str(beaten), "--mode", "heuristic"])
     assert code == 0 and out.strip() == "NOT FOUND (heuristic search, one-sided)"
-    code, out, _ = run_cli(["decide", "--input", str(hard), "--mode", "exact"])
+    code, out, _ = run_cli(["decide", "--input", str(beaten), "--mode", "exact"])
     assert code == 0 and out.strip() == "NO RAINBOW ARBORESCENCE"
 
 

@@ -127,7 +127,7 @@ def test_arborescence_monotone_under_additions():
             continue
         for t in range(n):
             for h in range(n):
-                if t != h and not g.has_edge(t, h):
+                if t != h and g.edge_colour(t, h) is None:
                     g.add_edge(ColouredEdge(t, h, 0))
                     assert has_spanning_arborescence(g)
                     break

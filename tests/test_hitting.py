@@ -4,9 +4,9 @@ import pathlib
 import pytest
 
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
-from arborsim.hitting import R_MODES, HittingTimes, event_holds, gallop, hitting_times
+from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
-from arborsim.rainbow import brute_force_oracle, decide
+from arborsim.rainbow import MODES, brute_force_oracle, decide
 from arborsim.rng import SplitMix64, derive_trial_seed
 from helpers import graph_from_edges
 
@@ -208,7 +208,7 @@ def test_heuristic_at_z_is_decide_at_m_z_in_every_mode():
         n = 2 + rng.below(6)  # n in [2, 7], small enough for the oracle
         w = n - 1 + rng.below(n + 1)
         trace = ProcessTrace(ProcessConfig(n, w, derive_trial_seed(16, trial)))
-        for mode in R_MODES:
+        for mode in MODES:
             ht = hitting_times(trace, r_mode=mode, budget_s=None)
             expected = decide(trace.graph_at(ht.m_z), "heuristic").outcome == "found"
             if ht.m_c is not None and max(ht.m_a, ht.m_c) == ht.m_z:

@@ -219,8 +219,8 @@ def test_sample_dnp_indicator_independence():
     xs = ys = xy = 0
     for seed in range(samples):
         g = sample_dnp(n, p, 2, seed)
-        x = 1 if g.has_edge(0, 1) else 0
-        y = 1 if g.has_edge(5, 6) else 0
+        x = 1 if g.edge_colour(0, 1) is not None else 0
+        y = 1 if g.edge_colour(5, 6) is not None else 0
         xs += x
         ys += y
         xy += x * y

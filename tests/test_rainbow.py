@@ -325,7 +325,7 @@ def test_certificate_monotone_under_additions():
         found += 1
         for t in range(n):
             for h in range(n):
-                if t != h and not g.has_edge(t, h):
+                if t != h and g.edge_colour(t, h) is None:
                     g.add_edge(ColouredEdge(t, h, rng.below(n + 2)))
                     assert verify_certificate(g, cert)
                     break
@@ -389,6 +389,44 @@ def test_decide_two_zero_in_degree_vertices():
     assert g.zero_in_count == 2
     for mode in ("oracle", "exact", "heuristic", "auto"):
         assert decide(g, mode=mode).outcome == "not_found"
+
+
+def test_no_candidate_root_is_a_two_sided_no_without_a_solver(monkeypatch):
+    # heuristic and auto answer from the empty candidate-root list alone,
+    # with no heuristic attempt and no exact search
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran without a candidate root")
+
+    monkeypatch.setattr(rainbow, "heuristic_construct", no_solver)
+    monkeypatch.setattr(rainbow, "decide_exact", no_solver)
+    graphs = [
+        graph_from_edges(4, 4, [(0, 2, 0), (1, 3, 1)]),  # two in-degree-zero vertices
+        graph_from_edges(4, 2, [(0, 1, 0), (0, 2, 0), (0, 3, 1)]),  # two colours
+        # n - 1 colours and one in-degree-zero vertex, 2, the only possible
+        # root, but 1 and 4 take colours 2 and 4, the only ones into 0
+        graph_from_edges(6, 5, [(5, 0, 2), (2, 5, 4), (1, 5, 0), (4, 3, 3),
+                                (0, 4, 4), (2, 0, 4), (0, 1, 2), (2, 3, 1)]),
+    ]
+    for g in graphs:
+        for root in (None, *range(g.n)):
+            assert _candidate_roots(g, root) == []
+            for mode in ("heuristic", "auto"):
+                result = decide(g, mode=mode, root=root)
+                assert (result.outcome, result.decided_by) == ("not_found", "exact")
+
+
+def test_oracle_answers_too_few_colours_without_enumerating():
+    # Every root of the complete digraph on 10 vertices has 9^9 in-edge
+    # selections, beyond the default guard, but 8 colours cannot colour
+    # the 9 edges of a spanning tree distinctly.
+    g = ColouredDigraph(10, 8)
+    for t in range(10):
+        for h in range(10):
+            if t != h:
+                g.add_edge(ColouredEdge(t, h, (t + h) % 8))
+    assert g.distinct_colours == 8
+    assert brute_force_oracle(g, guard=1) is None
+    assert decide(g, mode="oracle").outcome == "not_found"
 
 
 RECHECK_UNDER_O = """
