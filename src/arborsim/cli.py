@@ -77,7 +77,7 @@ def _root(text: str):
         return None
     value = int(text)
     if value < 1:
-        raise ValueError("root is 1-based")
+        raise argparse.ArgumentTypeError(f"root is 1-based (vertices 1..n), got {text}")
     return value - 1
 
 

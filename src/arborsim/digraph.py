@@ -92,9 +92,9 @@ class ColouredDigraph:
         return len(self.edges)
 
 
-def _check_root(n: int, root: int | None) -> None:
-    """ValueError unless root is None or a vertex of an n-vertex graph."""
-    if root is not None and not 0 <= root < n:
+def _check_root(n: int, root: int) -> None:
+    """ValueError unless root is a vertex of an n-vertex graph."""
+    if root is None or not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
 
 

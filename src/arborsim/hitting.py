@@ -21,6 +21,7 @@ in auto and exact modes; in heuristic mode it is the answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
@@ -60,17 +61,6 @@ def event_holds(g: ColouredDigraph, event: str, mode: str = "auto",
     raise ValueError(f"unknown event {event!r}, expected one of C, Z, A, R")
 
 
-def _first_true(lo: int, hi: int, pred) -> int:
-    """Least m in [lo, hi] with pred(m) true; pred monotone, pred(hi) true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def gallop(lo: int, hi: int, pred) -> int | None:
     """Least m in [lo, hi] with pred(m) true, or None if pred(hi) is false.
 
@@ -88,7 +78,8 @@ def gallop(lo: int, hi: int, pred) -> int | None:
         last_false = m
         m = min(hi, m + step)
         step *= 2
-    return _first_true(last_false + 1, m, pred)
+    # range(m)[i] == i, so the index bisect_left returns is the answer.
+    return bisect_left(range(m), True, last_false + 1, key=pred)
 
 
 def hitting_times(trace: ProcessTrace, r_mode: str = "auto",

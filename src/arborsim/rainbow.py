@@ -172,7 +172,9 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     vertices, or when some outside vertex is unreachable along
     unused-colour edges; the second also covers an outside vertex with no
     unused in-colour. Failed states are memoised by (tree, used), packed
-    into one integer.
+    into one integer: whether a partial tree extends to a spanning one
+    depends only on the vertices it covers and the colours it consumed,
+    never on its internal shape.
 
     Reachability is checked in full only at the root state, where no colour
     is used yet, so it is plain reachability from the root. Below it, a
@@ -193,28 +195,32 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     a step or two. The search keeps the following for the current state,
     updates it when a branch takes edge (t, v, c) and undoes that exactly
     when the branch returns, touching only the edges of colour c and the
-    edges at v.
+    edges at v. take() spends colour c and then enter(v) moves v inside;
+    the root enters the same way before the first node, and untake() is
+    the inline inverse of both.
 
     - heads_of[c], the number of colour-c edges into outside vertices, less
       `spent` (more than any count) while c is used, so a used colour's
       entry is negative and an unused colour that enters some outside
       vertex has a positive one; and `live`, the number of unused colours
       with heads_of[c] > 0, so the colours that enter some outside vertex;
-    - adm[v], the number of frontier edges into outside v; `front`, the
-      bitmask of outside vertices with adm[v] > 0; by_adm[a], the bitmask
-      of outside vertices with adm[v] == a, which yields the branch order
-      without sorting.
+    - adm[v], the number of frontier edges into outside v, and by_adm[a],
+      the bitmask of outside vertices with adm[v] == a. Bucket 0 holds the
+      outside vertices with no frontier edge, so the frontier heads are
+      the outside less bucket 0, and the buckets from 1 up yield the
+      branch order without sorting. Every change of adm[v] moves v's bit
+      from one bucket to the next.
 
     The tables are the graph's own where they can be. In-edges are
     g.in_edges, whose process order fixes the branch order and so the
     nodes visited and the certificate. One pass over g.edges files each
     edge, the same ColouredEdge object, under its tail in out_edges and
-    under its colour in colour_edges; take() and untake() read those, and
-    their updates do not depend on the order. heads_of and `live` start
-    from g.colour_mult and g.distinct_colours, and `parent` maps each tree
-    vertex to its chosen edge and becomes the certificate. Only the memo's
-    colour masks renumber the colours, densely in order of first
-    appearance. Everything is freed when the search returns.
+    under its colour in colour_edges; take(), enter() and untake() read
+    those, and their updates do not depend on the order. heads_of and
+    `live` start from g.colour_mult and g.distinct_colours, and `parent`
+    maps each tree vertex to its chosen edge and becomes the certificate.
+    Only the memo's colour masks renumber the colours, densely in order of
+    first appearance. Everything is freed when the search returns.
     """
     n = g.n
     full = (1 << n) - 1
@@ -236,25 +242,34 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     # The only list as long as colour_count, like colour_mult itself.
     heads_of = g.colour_mult.copy()
     live = g.distinct_colours
-    for _, _, c in in_edges[root]:
-        heads_of[c] -= 1
-        if not heads_of[c]:
-            live -= 1
     spent = len(g.edges) + 1  # marks a used colour in heads_of, see above
     inside = bytearray(n)
-    inside[root] = 1
     adm = [0] * n
-    front = 0
-    for h in g.out_heads[root]:
-        adm[h] = 1
-        front |= 1 << h
     by_adm = [0] * (n + 1)
-    by_adm[1] = front
+    by_adm[0] = full
     parent: dict[int, ColouredEdge] = {}
     failed: set[int] = set()
 
+    def enter(v: int) -> None:
+        nonlocal live
+        inside[v] = 1
+        by_adm[adm[v]] ^= 1 << v
+        for e in in_edges[v]:
+            k = e[2]
+            heads_of[k] -= 1
+            if not heads_of[k]:
+                live -= 1
+        for e in out_edges[v]:
+            h = e[1]
+            if not inside[h] and heads_of[e[2]] > 0:
+                bit = 1 << h
+                a = adm[h]
+                by_adm[a] ^= bit
+                adm[h] = a = a + 1
+                by_adm[a] ^= bit
+
     def take(v: int, c: int) -> list[int]:
-        nonlocal live, front
+        nonlocal live
         heads_of[c] -= spent
         live -= 1  # c enters v, which is still outside
         taken = colour_edges[c]
@@ -266,34 +281,12 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 a = adm[h]
                 by_adm[a] ^= bit
                 adm[h] = a = a - 1
-                if a:
-                    by_adm[a] ^= bit
-                else:
-                    front ^= bit
-        inside[v] = 1
-        for e in in_edges[v]:
-            k = e[2]
-            heads_of[k] -= 1
-            if not heads_of[k]:
-                live -= 1
-        if adm[v]:
-            by_adm[adm[v]] ^= 1 << v
-            front ^= 1 << v
-        for e in out_edges[v]:
-            h = e[1]
-            if not inside[h] and heads_of[e[2]] > 0:
-                bit = 1 << h
-                a = adm[h]
-                if a:
-                    by_adm[a] ^= bit
-                else:
-                    front ^= bit
-                adm[h] = a = a + 1
                 by_adm[a] ^= bit
+        enter(v)
         return [e[1] for e in taken if not (inside[e[1]] or adm[e[1]])]
 
     def untake(v: int, c: int) -> None:
-        nonlocal live, front
+        nonlocal live
         for e in out_edges[v]:
             h = e[1]
             if not inside[h] and heads_of[e[2]] > 0:
@@ -301,13 +294,8 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 a = adm[h]
                 by_adm[a] ^= bit
                 adm[h] = a = a - 1
-                if a:
-                    by_adm[a] ^= bit
-                else:
-                    front ^= bit
-        if adm[v]:
-            by_adm[adm[v]] ^= 1 << v
-            front ^= 1 << v
+                by_adm[a] ^= bit
+        by_adm[adm[v]] ^= 1 << v
         for e in in_edges[v]:
             k = e[2]
             if not heads_of[k]:
@@ -320,10 +308,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
             if inside[t] and not inside[h]:
                 bit = 1 << h
                 a = adm[h]
-                if a:
-                    by_adm[a] ^= bit
-                else:
-                    front ^= bit
+                by_adm[a] ^= bit
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
         live += 1
@@ -366,7 +351,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         # them. Heads come in (adm, v) order, bucket by bucket and each
         # bucket in ascending v; every child restores the state, so a
         # bucket read after earlier children returned is as it was here.
-        rest = front
+        rest = full ^ tree ^ by_adm[0]
         a = 0
         while rest:
             a += 1
@@ -388,6 +373,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         failed.add(key)
         return False
 
+    enter(root)
     # grow recurses once per tree vertex, so n in the thousands needs more
     # than the default limit of 1,000 frames.
     limit = sys.getrecursionlimit()
@@ -467,24 +453,14 @@ def decide_exact(
     algorithms search from them alone. When few colours collide, colour
     enumeration fixes one surviving edge per colliding colour class and
     looks for a spanning out-tree from a candidate root among the
-    survivors. Otherwise backtracking grows the
-    tree outward from each candidate root in increasing (in-degree, v)
-    order, branching on every frontier-crossing edge with an unused colour.
-    Failed (vertex set, colour set) states are memoised: whether a partial
-    tree extends to a spanning one depends only on which vertices it covers
-    and which colours it has consumed, never on its internal shape. The
-    search keeps per-vertex and per-colour counters for the current state,
-    on the graph's own edge lists, and updates them when a branch takes an
-    edge, undoing the update when the branch returns. Reachability is
-    checked in full only at the root; a child checks only the outside
-    vertices that the taken colour entered and that have no frontier edge
-    left, by a backward search from each until it meets the tree, since
-    every other path of its parent survives. So a node costs O(size of the
-    taken colour class + degree of the entered vertex) integer operations
-    plus those searches, which usually stop within a step or two, and the
-    search frees all of its state when it returns (see _search_root).
+    survivors. Otherwise backtracking (_search_root) grows the tree outward
+    from each candidate root in increasing (in-degree, v) order, branching
+    on every frontier-crossing edge with an unused colour and memoising
+    failed (vertex set, colour set) states; its docstring gives the state
+    the search keeps, its prunes and their cost.
     """
-    _check_root(g.n, root)
+    if root is not None:
+        _check_root(g.n, root)
     roots = _candidate_roots(g, root)
     if not roots:
         return None
@@ -613,7 +589,8 @@ def decide(
     """
     if mode not in MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
-    _check_root(g.n, root)
+    if root is not None:
+        _check_root(g.n, root)
 
     if mode == "oracle":
         cert = brute_force_oracle(g, root=root)

@@ -261,6 +261,16 @@ def test_decide_respects_root(tmp_path):
     assert code == 0 and "root 2" in out
 
 
+def test_root_zero_names_the_one_based_rule(tmp_path):
+    path = tmp_path / "cycle.txt"
+    path.write_text("3 3\n1 2 1\n2 3 2\n3 1 3\n")
+    for command in ("decide", "assign"):
+        code, out, err = run_cli([command, "--input", str(path), "--root", "0"])
+        assert code == 1 and out == ""
+        assert "argument --root: root is 1-based (vertices 1..n), got 0" in err
+        assert "_root" not in err
+
+
 # (n, trace seed, heads): the trace's shortest prefix with n - 1 colours and
 # `heads` distinct heads, so n - 1 heads is the prefix at M = max(m_C, m_Z)
 # and n heads leaves every vertex a candidate root. Colour-class

@@ -126,6 +126,39 @@ def test_gallop_finds_least_true_with_few_nearby_probes():
                 assert probes == [lo]
 
 
+def _reference_gallop(lo, hi, pred):
+    """gallop with its bisection written out by hand."""
+    last_false, m, step = lo - 1, lo, 1
+    while not pred(m):
+        if m == hi:
+            return None
+        last_false, m, step = m, min(hi, m + step), step * 2
+    lo, hi = last_false + 1, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_gallop_probes_match_a_hand_written_bisection():
+    for lo in range(12):
+        for hi in range(lo, 80):
+            for threshold in range(lo, hi + 2):
+                runs = []
+                for search in (gallop, _reference_gallop):
+                    probes = []
+
+                    def pred(m):
+                        probes.append(m)
+                        return m >= threshold
+
+                    runs.append((search(lo, hi, pred), probes))
+                assert runs[0] == runs[1], (lo, hi, threshold)
+
+
 class CountingTrace(ProcessTrace):
     """A trace that counts the edges pulled through prefix()."""
 

@@ -219,3 +219,7 @@ def test_root_validation():
         find_colour_assignment(b, 3)
     with pytest.raises(ValueError):
         find_k_witness(b, -1)
+    cycle = bigraph(3, [[2], [0], [1]])  # a directed 3-cycle has a matching on all of V
+    for find in (find_colour_assignment, find_k_witness):
+        with pytest.raises(ValueError):
+            find(cycle, None)
