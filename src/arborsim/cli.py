@@ -54,10 +54,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _non_negative(text: str) -> int:
+def _budget_ms(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    if value >= 10**308:  # divided into float seconds, which top out near 1.8e308
+        raise argparse.ArgumentTypeError(f"must be below 10^308, got {text}")
     return value
 
 
@@ -69,7 +71,13 @@ def _finite(text: str) -> float:
 
 
 def _colours(text: str):
-    return text if text == "auto" else int(text)
+    if text == "auto":
+        return text
+    value = int(text)
+    # colours are drawn below the colour count W by one 64-bit draw
+    if not 1 <= value <= 2**64:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or in [1, 2^64], got {text}")
+    return value
 
 
 def _root(text: str):
@@ -106,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"64-bit seed or 'random' (default {DEFAULT_SEED})")
     p.add_argument("--r-mode", choices=MODES[1:],
                    default="auto", help="rainbow decision mode (default auto)")
-    p.add_argument("--budget-ms", type=_non_negative, default=10000,
+    p.add_argument("--budget-ms", type=_budget_ms, default=10000,
                    help="per-decision budget in ms (default 10000)")
     p.add_argument("--undefined-as-last-step", action="store_true",
                    help="report undefined m_C/m_R as n(n-1) instead of NA")
@@ -118,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based root id or 'any' (default any)")
     p.add_argument("--mode", choices=MODES,
                    default="auto", help="decision procedure (default auto)")
-    p.add_argument("--budget-ms", type=_non_negative, default=10000,
+    p.add_argument("--budget-ms", type=_budget_ms, default=10000,
                    help="decision budget in ms (default 10000)")
 
     p = sub.add_parser("assign", help="injective vertex->colour assignment or witness")
@@ -150,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offset c in m = n(log n + c), poisson only (default 0)")
     p.add_argument("--r-mode", choices=MODES,
                    default="auto", help="rainbow decision mode, theorem only")
-    p.add_argument("--budget-ms", type=_non_negative, default=10000,
+    p.add_argument("--budget-ms", type=_budget_ms, default=10000,
                    help="per-decision budget in ms, theorem only (default 10000)")
     p.add_argument("--subsets", type=_positive, default=50,
                    help="colour subsets per trial, degree only (default 50)")

@@ -11,6 +11,7 @@ formatting throughout.
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, NamedTuple, Sequence
 
 from arborsim.hitting import hitting_times
@@ -66,8 +67,8 @@ class ExperimentReport(NamedTuple):
 
 def _run_rows(worker: Callable, args: Sequence, threads: int) -> list:
     # The pool forks all its workers at the first submit, so never ask for
-    # more than there are rows.
-    workers = min(threads, len(args))
+    # more than there are rows or CPUs.
+    workers = min(threads, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args]
     # Imported only when workers start: the pool's modules (multiprocessing,

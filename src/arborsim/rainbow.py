@@ -474,97 +474,71 @@ def decide_exact(
     return None
 
 
+def _attach(inside: set[int], in_edges, f: dict[int, int], blocked: set[int],
+            chosen: dict[int, ColouredEdge], children: list[list[int]]) -> None:
+    """Grow the root's component `inside` by passes until one adds nothing.
+
+    A pass visits the outside vertices in ascending order. Vertex v takes
+    the first edge of in_edges[v] whose tail is inside and whose colour is
+    f(v) or a spare colour not in `blocked`, which it then blocks; v
+    brings its `children` subtree inside with it.
+    """
+    n = len(children)
+    progress = True
+    while progress and len(inside) < n:
+        progress = False
+        for v in range(n):
+            if v in inside:
+                continue
+            for e in in_edges[v]:
+                if e.tail in inside and (e.colour == f[v] or e.colour not in blocked):
+                    chosen[v] = e
+                    blocked.add(e.colour)
+                    stack = [v]
+                    while stack:
+                        u = stack.pop()
+                        if u not in inside:
+                            inside.add(u)
+                            stack.extend(children[u])
+                    progress = True
+                    break
+
+
 def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     """One-sided constructive attempt, fast at process scale.
 
-    Pipeline: (1) find an injective colour assignment f on V \\ {root};
-    (2) treat every colour outside the image of f as spare;
-    (3) materialise one in-edge per vertex in colour f(v), preferring
-    tails already connected to the root, which leaves the root's
-    arborescence plus unicyclic leftover components; (4) grow the root
-    component by re-pointing outside vertices at it through edges whose
-    colour is spare and unconsumed, or is the colour the swap itself frees;
-    a re-pointed vertex brings its whole subtree across, and a re-pointed
-    cycle vertex brings its whole component (the cycle breaks there);
-    (5) iterate to a fixpoint. Success returns a verified certificate;
-    failure proves nothing. It fails with "no injective colour assignment"
-    when step (1) finds none, and with "unrepairable components" when the
-    fixpoint leaves some vertex outside the root component.
+    It finds an injective colour assignment f on V \\ {root}; the colours
+    outside f's image are spare. Then one attach rule (_attach) grows the
+    root's component, run twice: an outside vertex takes its first in-edge
+    from inside whose colour is f(v) or an unspent spare, and brings the
+    vertices hanging below it along. The first run offers each vertex only
+    its f(v)-coloured in-edges. Each vertex still outside then hangs on its
+    first f(v)-coloured in-edge, which leaves unicyclic components outside
+    the root's. The second run offers every in-edge: a vertex that attaches
+    brings its subtree across, and a cycle vertex its whole component (the
+    cycle breaks there). Success returns a verified certificate; failure
+    proves nothing. It fails with "no injective colour assignment" when f
+    does not exist, and with "unrepairable components" when the second run
+    leaves some vertex outside.
     """
-    n = g.n
-    bigraph = build_colour_bigraph(g)
-    assignment = find_colour_assignment(bigraph, root)
+    assignment = find_colour_assignment(build_colour_bigraph(g), root)
     if assignment is None:
         return HeuristicOutcome(None, failure_reason="no injective colour assignment")
     f = assignment.mapping
-    image = set(f.values())
-
-    # Materialise: earliest in-edge in colour f(v) whose tail is already
-    # connected to the root; repeat passes while the connected set grows.
-    candidates: dict[int, list[ColouredEdge]] = {
-        v: [e for e in g.in_edges[v] if e.colour == f[v]] for v in f
-    }
+    own = {v: [e for e in g.in_edges[v] if e.colour == f[v]] for v in f}
+    blocked = set(f.values())  # f's image, then every spare colour spent
     chosen: dict[int, ColouredEdge] = {}
-    connected = {root}
-    pending = set(f)
-    progress = True
-    while progress and pending:
-        progress = False
-        for v in sorted(pending):
-            for e in candidates[v]:
-                if e.tail in connected:
-                    chosen[v] = e
-                    connected.add(v)
-                    pending.discard(v)
-                    progress = True
-                    break
-    for v in pending:
-        chosen[v] = candidates[v][0]
-
-    used = {e.colour for e in chosen.values()}
-    assert len(used) == n - 1
-
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, e in chosen.items():
-        children[e.tail].append(v)
-
-    in_root = set(connected)
-    progress = True
-    while progress and len(in_root) < n:
-        progress = False
-        for v in range(n):
-            if v == root or v in in_root:
-                continue
-            own = chosen[v].colour
-            taken = None
-            for e in g.in_edges[v]:
-                if e == chosen[v] or e.tail not in in_root:
-                    continue
-                c = e.colour
-                if c == own or (c not in image and c not in used):
-                    taken = e
-                    break
-            if taken is None:
-                continue
-            if taken.colour != own:
-                used.discard(own)
-                used.add(taken.colour)
-            children[chosen[v].tail].remove(v)
-            chosen[v] = taken
-            children[taken.tail].append(v)
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in in_root:
-                    continue
-                in_root.add(u)
-                stack.extend(children[u])
-            progress = True
-
-    if len(in_root) < n:
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    inside = {root}
+    _attach(inside, own, f, blocked, chosen, children)
+    for v in f:
+        if v not in inside:
+            chosen[v] = own[v][0]
+            children[own[v][0].tail].append(v)
+    _attach(inside, g.in_edges, f, blocked, chosen, children)
+    if len(inside) < g.n:
         return HeuristicOutcome(None, failure_reason="unrepairable components")
-    cert = ArborescenceCertificate(root, dict(chosen))
-    return HeuristicOutcome(_verified(g, cert, "heuristic"))
+    return HeuristicOutcome(_verified(g, ArborescenceCertificate(root, chosen), "heuristic"))
 
 
 _HEURISTIC_TRIES = 3

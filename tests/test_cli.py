@@ -84,6 +84,19 @@ def test_negative_budget_is_usage_error():
     assert_usage_error(["hitting-times", "--n", "5", "--budget-ms", "-1"], "--budget-ms")
     assert_usage_error(["experiment", "theorem", "--n", "5", "--trials", "1",
                         "--budget-ms", "-5"], "--budget-ms")
+    # a budget that float seconds cannot hold is a usage error, not an OverflowError
+    huge = "9" * 401
+    for argv in (["hitting-times", "--n", "5"], ["decide", "--input", "g.txt"],
+                 ["experiment", "theorem", "--n", "5", "--trials", "1", "--threads", "1"]):
+        assert_usage_error(argv + ["--budget-ms", huge], "--budget-ms")
+
+
+def test_colour_count_outside_64_bits_is_usage_error():
+    for colours in ("0", str(2**64 + 1), "100000000000000000000000"):
+        assert_usage_error(["simulate", "--n", "3", "--colours", colours, "--m", "2"], "--colours")
+        assert_usage_error(["hitting-times", "--n", "3", "--colours", colours], "--colours")
+    code, out, _ = run_cli(["simulate", "--n", "3", "--colours", str(2**64), "--m", "2"])
+    assert code == 0 and out.startswith(f"3 {2**64}\n")
 
 
 def test_non_finite_c_is_usage_error():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import pathlib
 
 import pytest
@@ -87,6 +88,7 @@ def test_worker_count_is_capped_at_the_trial_count(monkeypatch):
 
     # _run_rows imports the pool class when it starts workers, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     run = lambda trials, threads: run_poisson_experiment(
         300, 0.5, trials, seed=3, threads=threads).to_csv()
     assert run(3, 8) == run(3, 1)
@@ -95,6 +97,11 @@ def test_worker_count_is_capped_at_the_trial_count(monkeypatch):
     assert pools == [3]
     run(20, 2)
     assert pools == [3, 2]
+    assert run(20, 5000) == run(20, 1)
+    assert pools == [3, 2, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, inline
+    run(20, 8)
+    assert pools == [3, 2, 4]
 
 
 def test_summaries_recomputable_from_rows():
