@@ -1,9 +1,10 @@
 """Coloured simple digraph with O(1) bookkeeping per edge insertion.
 
-The graph grows one edge at a time (no deletion). In-degrees, per-colour
-multiplicities, the number of in-degree-zero vertices and the number of
-distinct colours present are maintained incrementally so that event
-detection after each step is O(1).
+The graph grows one edge at a time, and `pop_edge` takes back the last
+edge added, so a graph can move down and up one edge sequence. In-degrees,
+per-colour multiplicities, the number of in-degree-zero vertices and the
+number of distinct colours present are maintained incrementally, both
+ways, so that event detection after each step is O(1).
 """
 
 from __future__ import annotations
@@ -84,6 +85,24 @@ class ColouredDigraph:
         self.colour_mult[colour] += 1
         self.in_edges[head].append(e)
         self.out_heads[tail].append(head)
+
+    def pop_edge(self) -> ColouredEdge:
+        """Remove and return the last edge added, undoing all of add_edge.
+
+        Raises IndexError on an empty graph.
+        """
+        e = self.edges.pop()
+        tail, head, colour = e
+        del self._colour_of_pair[tail * self.n + head]
+        self.in_deg[head] -= 1
+        if self.in_deg[head] == 0:
+            self.zero_in_count += 1
+        self.colour_mult[colour] -= 1
+        if self.colour_mult[colour] == 0:
+            self.distinct_colours -= 1
+        self.in_edges[head].pop()
+        self.out_heads[tail].pop()
+        return e
 
     def edge_colour(self, tail: int, head: int) -> int | None:
         return self._colour_of_pair.get(tail * self.n + head)

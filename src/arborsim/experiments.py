@@ -177,12 +177,13 @@ def _summarize_poisson(rows: list[tuple], trials: int, c: float) -> dict:
 
 def run_poisson_experiment(n: int, c: float, trials: int, seed: int,
                            threads: int = 1) -> ExperimentReport:
-    m = n * (math.log(n) + c)
-    if math.isfinite(m):  # else |c| near the float limit: report m = inf
-        m = round_half_up(m)
+    m_real = n * (math.log(n) + c)
+    # inf when |c| is near the float limit, which no int conversion takes
+    m = round_half_up(m_real) if math.isfinite(m_real) else m_real
     total = n * (n - 1)
     if not 0 <= m <= total:
-        raise ValueError(f"m = {m} outside [0, {total}] for n = {n}, c = {c}")
+        # the float, not m: a huge |c| would print m with hundreds of digits
+        raise ValueError(f"m = {m_real} outside [0, {total}] for n = {n}, c = {c}")
     params = {"n": n, "c": c, "m": m, "trials": trials, "seed": seed}
     args = [(n, seed, t, m) for t in range(trials)]
     rows = _run_rows(_poisson_trial, args, threads)

@@ -10,8 +10,9 @@ The prefix is streamed lazily, only as far as the search needs. C and Z are
 read where the counters of one forward-grown graph cross. A and R are
 monotone in m because a witness edge set persists under edge additions, so
 their hitting times come from galloping (exponential) search upward on that
-graph, then bisection of the last bracket; a probe below the grown graph is
-rebuilt from that graph's own edges, so no prefix edge is drawn twice. Z and
+graph, then bisection of the last bracket. Every probe moves the one graph:
+it pops edges to go down and re-adds them before it streams new ones to go
+up, so no prefix edge is drawn twice or built into a second graph. Z and
 A always happen; C and R can fail to ever happen, in which case their times
 are reported as undefined (None) rather than clamped to the last step. The
 constructive heuristic runs once, at m_Z, from the one vertex of in-degree
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
-from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
+from arborsim.digraph import ColouredDigraph, ColouredEdge, has_spanning_arborescence
 from arborsim.process import ProcessTrace
 from arborsim.rainbow import MODES, BudgetExceededError, decide, heuristic_construct
 
@@ -89,8 +90,8 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     The prefix is streamed lazily: one graph grows forward until the Z
     counter and (if it ever can) the C counter cross; m_A and m_R come from
     galloping upward on it, from m_Z and max(m_A, m_C), then bisecting the
-    last bracket on graphs rebuilt from the first edges of the grown one.
-    Each of those probes is event_holds on the prefix graph.
+    last bracket. Each of those probes is event_holds on that one graph,
+    moved to the probed prefix by popping edges or adding them back.
 
     R needs C and A, so the heuristic runs once, at m_Z, only when
     max(m_A, m_C) = m_Z (on the grown graph itself), from its one vertex
@@ -123,13 +124,14 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
             break
     assert m_z is not None  # n-1 distinct heads always occur by step N
 
+    popped: list[ColouredEdge] = []  # the edges just above g, next one last
+
     def graph(m: int) -> ColouredDigraph:
-        """The prefix graph at m: g grown forward, or rebuilt below it."""
-        if m < len(g):
-            h = ColouredDigraph(n, trace.colour_count)
-            for e in islice(g.edges, m):
-                h.add_edge(e)
-            return h
+        """g moved to the prefix graph at m: popped down, or grown back up."""
+        while len(g) > m:
+            popped.append(g.pop_edge())
+        while len(g) < m and popped:
+            g.add_edge(popped.pop())
         for e in islice(edges, m - len(g)):
             g.add_edge(e)
         return g

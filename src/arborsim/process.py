@@ -105,21 +105,23 @@ class ProcessTrace:
             head = off if off < tail else off + 1
             yield tail, head
 
+    def _colour_draws(self) -> Iterator[int]:
+        """The colour stream: one uniform colour per process step, unending."""
+        return SplitMix64(self._colour_seed).below_each(repeat(self.colour_count))
+
     def prefix_colours(self, m: int) -> Iterator[int]:
         """First m colours (one per process step), edge stream untouched."""
         if not 0 <= m <= self.total_edges:
             raise ValueError(f"prefix length {m} outside [0, {self.total_edges}]")
         # counted by range, not repeat(w, m): m may exceed sys.maxsize
-        draws = SplitMix64(self._colour_seed).below_each(repeat(self.colour_count))
-        for _, colour in zip(range(m), draws):
+        for _, colour in zip(range(m), self._colour_draws()):
             yield colour
 
     def prefix(self, m: int) -> Iterator[ColouredEdge]:
-        """First m coloured edges: prefix_pairs zipped with prefix_colours."""
-        pairs = self.prefix_pairs(m)
-        colours = self.prefix_colours(m)
-        for (tail, head), colour in zip(pairs, colours):
-            yield ColouredEdge(tail, head, colour)
+        """First m coloured edges: prefix_pairs zipped with the colour draws."""
+        new = tuple.__new__  # skips the Python-level ColouredEdge.__new__ call
+        for (tail, head), colour in zip(self.prefix_pairs(m), self._colour_draws()):
+            yield new(ColouredEdge, (tail, head, colour))
 
     def materialize(self) -> list[ColouredEdge]:
         """All n(n-1) coloured edges in process order."""

@@ -127,7 +127,8 @@ def test_ranges_wider_than_64_bits_are_one_line_errors():
 def test_oversized_numbers_are_one_line_errors(tmp_path):
     # values that overflow a float-to-int conversion or a list size
     huge = str(10**23)
-    argvs = [["experiment", "poisson", "--n", "3", "--c", "1e308", "--trials", "1"]]
+    argvs = [["experiment", "poisson", "--n", "3", "--c", "1e308", "--trials", "1"],
+             ["experiment", "poisson", "--n", "2", "--c", "1e300", "--trials", "1"]]
     argvs += [["experiment", kind, "--n", huge, "--trials", "1"]
               for kind in ("poisson", "coupon", "theorem")]
     argvs.append(["hitting-times", "--n", huge])
@@ -136,7 +137,8 @@ def test_oversized_numbers_are_one_line_errors(tmp_path):
         path = tmp_path / f"huge{i}.txt"
         path.write_text(header + "\n")
         argvs += [["decide", "--input", str(path)], ["assign", "--input", str(path)]]
-    wording = ["m = inf outside [0, 6] for n = 3"] + ["--n must be at most 2^32"] * 4
+    wording = ["m = inf outside [0, 6] for n = 3", "m = 2e+300 outside [0, 2] for n = 2"]
+    wording += ["--n must be at most 2^32"] * 4
     wording += ["--n must be at most 2^64"] * 2
     wording += [f"vertex count n = {huge} is too large"] * 2 + [f"colour count W = {huge} is too large"] * 2
     for argv, words in zip(argvs, wording, strict=True):

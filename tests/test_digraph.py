@@ -55,6 +55,34 @@ def test_incremental_counters_match_recompute():
         assert sum(in_deg) == len(g.edges)
 
 
+def _slots(g):
+    return {name: getattr(g, name) for name in ColouredDigraph.__slots__}
+
+
+def test_pop_edge_inverts_add_edge():
+    rng = SplitMix64(77)
+    for _ in range(200):
+        n = 2 + rng.below(6)
+        w = 1 + rng.below(5)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        edges = list(g.edges)
+        original = _slots(graph_from_edges(n, w, edges))
+        for k in range(len(edges), -1, -1):
+            popped = [g.pop_edge() for _ in range(len(g) - k)]
+            assert popped == edges[k:][::-1]
+            assert _slots(g) == _slots(graph_from_edges(n, w, edges[:k]))
+            for e in popped:
+                assert g.edge_colour(e.tail, e.head) is None
+            for e in reversed(popped):
+                g.add_edge(e)
+            assert _slots(g) == original
+        for _ in edges:
+            g.pop_edge()
+        with pytest.raises(IndexError):
+            g.pop_edge()
+        assert _slots(g) == _slots(ColouredDigraph(n, w))
+
+
 def test_reachable_from_examples():
     g = graph_from_edges(3, 2, [(0, 1, 0)])
     assert reachable_from(g, range(3)) == {0, 1, 2}

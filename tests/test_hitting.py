@@ -180,6 +180,26 @@ def test_hitting_times_streams_a_short_prefix():
     assert trace.streamed < trace.total_edges // 50
 
 
+def test_hitting_times_adds_each_streamed_edge_about_once(monkeypatch):
+    # Two trials whose bisections for m_A probe far below the grown graph.
+    calls = 0
+    add_edge = ColouredDigraph.add_edge
+
+    def counting_add_edge(g, e):
+        nonlocal calls
+        calls += 1
+        add_edge(g, e)
+
+    monkeypatch.setattr(ColouredDigraph, "add_edge", counting_add_edge)
+    for master_seed, times in ((1_000_007, (210, 1225, 1619, 1619)),
+                               (1_000_091, (203, 1007, 1135, 1135))):
+        calls = 0
+        trace = CountingTrace(ProcessConfig(200, "auto", derive_trial_seed(master_seed, 0)))
+        ht = hitting_times(trace)
+        assert (ht.m_c, ht.m_z, ht.m_a, ht.m_r) == times
+        assert calls <= 2 * trace.streamed, (calls, trace.streamed)
+
+
 def test_exact_mode_keeps_the_certificate_found_at_m_z():
     # The backtracking search spends any budget at m_Z on this graph, where
     # the heuristic builds a rainbow arborescence at once.
