@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Iterable
+from itertools import repeat
 from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
@@ -21,6 +22,7 @@ from arborsim.matching import (
     build_colour_bigraph,
     find_colour_assignment,
 )
+from arborsim.rng import LOCAL_SEARCH_STREAM, SplitMix64, derive_stream_seed
 
 # The decision modes of decide; hitting_times and the CLI take the same names.
 MODES = ("oracle", "exact", "heuristic", "auto")
@@ -43,7 +45,7 @@ class HeuristicOutcome(NamedTuple):
     """A heuristic attempt: a verified certificate, or why none was built.
 
     failure_reason is None on success, else "no injective colour
-    assignment" or "unrepairable components" (see heuristic_construct).
+    assignment" or "unrepairable components" (see _attach_construct).
     """
 
     certificate: ArborescenceCertificate | None
@@ -504,8 +506,8 @@ def _attach(inside: set[int], in_edges, f: dict[int, int], blocked: set[int],
                     break
 
 
-def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
-    """One-sided constructive attempt, fast at process scale.
+def _attach_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
+    """The attach construction, heuristic_construct's fallback after local search.
 
     It finds an injective colour assignment f on V \\ {root}; the colours
     outside f's image are spare. Then one attach rule (_attach) grows the
@@ -539,6 +541,122 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     if len(inside) < g.n:
         return HeuristicOutcome(None, failure_reason="unrepairable components")
     return HeuristicOutcome(_verified(g, ArborescenceCertificate(root, chosen), "heuristic"))
+
+
+# Local search gives up after this many steps per vertex; a step count, so
+# its answers never depend on the machine's speed.
+_LOCAL_SEARCH_STEPS = 10
+# One step in this many takes a random move instead of a least-conflict one.
+_LOCAL_SEARCH_NOISE = 5
+_LOCAL_SEARCH_SEED = derive_stream_seed(0, LOCAL_SEARCH_STREAM)
+
+
+def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | None:
+    """Min-conflicts repair of a spanning out-tree into a rainbow one, or None.
+
+    The state is one parent edge per non-root vertex, always a spanning
+    arborescence, starting from the root's BFS out-tree; a vertex is
+    conflicted while another vertex's parent edge has its colour. Each step
+    picks a conflicted vertex v uniformly (Minton, Johnston, Philips and
+    Laird 1992). Its moves are its other in-edges whose tail is not in v's
+    subtree, which a walk up the tail's parent chain tests. One step in
+    _LOCAL_SEARCH_NOISE takes a random move, as WalkSAT does (Selman,
+    Kautz and Cohen 1994); the others take a random one of the moves to a
+    colour no vertex holds, which lower the conflict count, or any move
+    when there is none. The holders of each colour and the conflicted
+    vertices, in a list with each vertex's slot in it, are updated per
+    move, so a step costs the in-degree of v times the depth of the tree.
+    Draws come from one fixed SplitMix64 substream, so the same graph and
+    root give the same answer. It stops with a verified certificate when
+    nothing is conflicted, or with None when the root reaches too few
+    vertices or _LOCAL_SEARCH_STEPS * n steps have run.
+    """
+    n = g.n
+    par = [-1] * n
+    col = [-1] * n
+    par[root] = root
+    tree = [root]
+    for t in tree:
+        for h in g.out_heads[t]:
+            if par[h] < 0:
+                par[h] = t
+                col[h] = g.edge_colour(t, h)
+                tree.append(h)
+    if len(tree) < n:
+        return None
+    holders: dict[int, list[int]] = {}  # colour -> the vertices it enters; never empty
+    for v in tree[1:]:
+        holders.setdefault(col[v], []).append(v)
+    conflicted: list[int] = []
+    slot = [-1] * n  # v's index in conflicted, or -1
+
+    def mark(v: int) -> None:
+        slot[v] = len(conflicted)
+        conflicted.append(v)
+
+    def unmark(v: int) -> None:
+        last = conflicted.pop()
+        if last != v:
+            conflicted[slot[v]] = last
+            slot[last] = slot[v]
+        slot[v] = -1
+
+    for vs in holders.values():
+        if len(vs) > 1:
+            for v in vs:
+                mark(v)
+    # Full 64-bit draws, scaled to [0, k) by k * z >> 64.
+    draws = SplitMix64(_LOCAL_SEARCH_SEED).below_each(repeat(1 << 64))
+    steps = _LOCAL_SEARCH_STEPS * n
+    while conflicted:
+        if not steps:
+            return None
+        steps -= 1
+        v = conflicted[next(draws) * len(conflicted) >> 64]
+        moves = []
+        for e in g.in_edges[v]:
+            u = e[0]
+            if u == par[v]:
+                continue
+            while u != root and u != v:
+                u = par[u]
+            if u == root:
+                moves.append(e)
+        if not moves:
+            continue
+        if next(draws) * _LOCAL_SEARCH_NOISE >> 64:
+            moves = [e for e in moves if e[2] not in holders] or moves
+        t, _, c = moves[next(draws) * len(moves) >> 64]
+        vs = holders[col[v]]  # v is conflicted, so vs keeps another vertex
+        vs.remove(v)
+        if len(vs) == 1:
+            unmark(vs[0])
+        par[v] = t
+        col[v] = c
+        vs = holders.setdefault(c, [])
+        vs.append(v)
+        if len(vs) == 1:
+            unmark(v)
+        elif len(vs) == 2:
+            mark(vs[0])
+    parent_edge = {v: ColouredEdge(par[v], v, col[v]) for v in tree[1:]}
+    return _verified(g, ArborescenceCertificate(root, parent_edge), "local search")
+
+
+def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
+    """One-sided constructive attempt, fast at process scale.
+
+    Local search (_local_search) runs first. When it gives up, the attach
+    construction (_attach_construct) runs, and its certificate or failure
+    reason is the answer, so this never misses a certificate that attach
+    alone would build. Success returns a verified certificate; failure
+    proves nothing.
+    """
+    _check_root(g.n, root)
+    cert = _local_search(g, root)
+    if cert is not None:
+        return HeuristicOutcome(cert)
+    return _attach_construct(g, root)
 
 
 _HEURISTIC_TRIES = 3

@@ -181,3 +181,4 @@ COLOUR_STREAM = 2
 PRESENCE_STREAM = 3
 MAPPING_STREAM = 4
 INFECTION_STREAM = 5
+LOCAL_SEARCH_STREAM = 6

@@ -18,9 +18,11 @@ from arborsim.rainbow import (
     decide,
     decide_exact,
     heuristic_construct,
+    _attach_construct,
     _candidate_roots,
     _COLOUR_COMBO_CAP,
     _decide_by_colour_enumeration,
+    _local_search,
     _search_root,
     verify_certificate,
 )
@@ -236,9 +238,10 @@ def test_exact_decisions_free_their_state_on_return(monkeypatch):
         return search(g, root, deadline)
 
     monkeypatch.setattr(rainbow, "_search_root", counted_search)
-    # Inputs 0 and 2 of the exact-n200 benchmark at seeds 1 and 4, and op 34
-    # of theorem-n200 at seed 1, whose heuristic fails and whose colours
-    # collide too much for colour enumeration.
+    # Inputs 0 and 2 of the exact-n200 benchmark at seeds 1 and 4, and op 7
+    # of theorem-n200 at seed 1 in exact mode: m_A > m_Z there, so no
+    # constructor runs at m_Z, and its colours collide too much for colour
+    # enumeration.
     found = prefix_at_m(200, derive_trial_seed(1 * 10**6, 0))
     slow = prefix_at_m(200, derive_trial_seed(4 * 10**6 + 2, 0))
     enabled = gc.isenabled()
@@ -250,7 +253,8 @@ def test_exact_decisions_free_their_state_on_return(monkeypatch):
         assert decide(slow, mode="exact", budget_s=0.05).outcome == "unknown"
         assert gc.collect() == 0
         searches.clear()
-        report = run_theorem_experiment(n=200, trials=1, seed=1 * 10**6 + 34, threads=1)
+        report = run_theorem_experiment(n=200, trials=1, seed=1 * 10**6 + 7,
+                                        r_mode="exact", threads=1)
         (row,) = report.rows
         assert searches and dict(zip(report.columns, row))["r_decision_mode"] == "exact"
         assert gc.collect() == 0
@@ -280,7 +284,7 @@ def test_heuristic_mapping_repair_example():
 
 def test_heuristic_reports_missing_assignment():
     g = graph_from_edges(3, 1, [(0, 1, 0), (0, 2, 0)])
-    out = heuristic_construct(g, 0)
+    out = _attach_construct(g, 0)
     assert not out.success
     assert out.failure_reason == "no injective colour assignment"
 
@@ -288,7 +292,7 @@ def test_heuristic_reports_missing_assignment():
 def test_heuristic_reports_unrepairable_components():
     # V \ {1} has the assignment 0 -> 2, 2 -> 0, but root 1 reaches nothing
     g = graph_from_edges(3, 3, [(2, 0, 2), (0, 2, 0)])
-    out = heuristic_construct(g, 1)
+    out = _attach_construct(g, 1)
     assert not out.success
     assert out.failure_reason == "unrepairable components"
     assert decide_exact(g, root=1) is None
@@ -311,6 +315,51 @@ def test_heuristic_one_sided_and_sound():
             exact = decide_exact(g, root=root)
             statuses["true-miss" if exact is not None else "true-negative"] += 1
     assert statuses["success"] > 0 and statuses["true-negative"] > 0
+
+
+def test_constructor_is_sound_deterministic_and_no_weaker_than_attach():
+    # Seeded small graphs, every root. A certificate is one the oracle
+    # confirms, the same on a rerun, and wherever the attach construction
+    # alone builds one the constructor does too; a failure carries the
+    # attach construction's reason.
+    rng = SplitMix64(60221)
+    found = local_only = 0
+    for _ in range(300):
+        n = 2 + rng.below(8)  # n in [2, 9]
+        w = n - 1 + rng.below(4)  # W in [n - 1, n + 2]
+        g = random_graph(rng, n, w, min(n * (n - 1), n - 1 + rng.below(2 * n)))
+        for root in range(n):
+            out = heuristic_construct(g, root)
+            attach = _attach_construct(g, root)
+            assert heuristic_construct(g, root) == out
+            assert _local_search(g, root) == _local_search(g, root)
+            if out.success:
+                found += 1
+                local_only += not attach.success
+                assert verify_certificate(g, out.certificate)
+                assert out.certificate.root == root
+                assert brute_force_oracle(g, root=root) is not None
+            else:
+                assert not attach.success
+                assert out.failure_reason == attach.failure_reason
+    assert found > 0 and local_only > 0
+
+
+def test_exact_mode_never_runs_the_constructor(monkeypatch):
+    def no_constructor(*args, **kwargs):
+        raise AssertionError("exact mode ran a constructor")
+
+    for name in ("heuristic_construct", "_local_search", "_attach_construct"):
+        monkeypatch.setattr(rainbow, name, no_constructor)
+    rng = SplitMix64(1729)
+    outcomes = set()
+    for _ in range(100):
+        n = 2 + rng.below(6)
+        g = random_graph(rng, n, n - 1 + rng.below(4), min(n * (n - 1), n - 1 + rng.below(2 * n)))
+        result = decide(g, mode="exact", budget_s=None)
+        assert result.outcome == ("found" if brute_force_oracle(g) else "not_found")
+        outcomes.add(result.outcome)
+    assert outcomes == {"found", "not_found"}
 
 
 def test_certificate_monotone_under_additions():
@@ -438,7 +487,8 @@ g.add_edge(ColouredEdge(0, 1, 0))
 g.add_edge(ColouredEdge(1, 2, 1))
 rainbow.verify_certificate = lambda g, cert: False  # every check fails
 solvers = [
-    lambda: rainbow.decide(g, "heuristic"),
+    lambda: rainbow.decide(g, "heuristic"),  # local search
+    lambda: rainbow._attach_construct(g, 0),
     lambda: rainbow.decide(g, "exact"),  # colour enumeration
     lambda: rainbow._search_root(g, 0, None),
 ]
@@ -456,6 +506,7 @@ def test_certificates_are_rechecked_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", RECHECK_UNDER_O], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == [
+        "local search produced an invalid certificate",
         "heuristic produced an invalid certificate",
         "tree extraction produced an invalid certificate",
         "exact solver produced an invalid certificate",
