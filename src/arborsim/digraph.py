@@ -1,7 +1,10 @@
 """Coloured simple digraph with O(1) bookkeeping per edge insertion.
 
 The graph grows one edge at a time, and `pop_edge` takes back the last
-edge added, so a graph can move down and up one edge sequence. In-degrees,
+edge added, so a graph can move down and up one edge sequence. Each edge
+is one `ColouredEdge` object, filed under its head in `in_edges` and under
+its tail in `out_edges`, so both directions hand out the graph's own
+edges, and one closure helper (`forward_closure`) walks either. In-degrees,
 per-colour multiplicities, the number of in-degree-zero vertices and the
 number of distinct colours present are maintained incrementally, both
 ways, so that event detection after each step is O(1).
@@ -42,7 +45,7 @@ class ColouredDigraph:
         "zero_in_count",
         "distinct_colours",
         "in_edges",
-        "out_heads",
+        "out_edges",
         "_colour_of_pair",
     )
 
@@ -59,7 +62,7 @@ class ColouredDigraph:
         self.zero_in_count = n
         self.distinct_colours = 0
         self.in_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
-        self.out_heads: list[list[int]] = [[] for _ in range(n)]
+        self.out_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
         # pair index -> colour; doubles as the duplicate-edge presence map
         self._colour_of_pair: dict[int, int] = {}
 
@@ -84,7 +87,7 @@ class ColouredDigraph:
             self.distinct_colours += 1
         self.colour_mult[colour] += 1
         self.in_edges[head].append(e)
-        self.out_heads[tail].append(head)
+        self.out_edges[tail].append(e)
 
     def pop_edge(self) -> ColouredEdge:
         """Remove and return the last edge added, undoing all of add_edge.
@@ -101,7 +104,7 @@ class ColouredDigraph:
         if self.colour_mult[colour] == 0:
             self.distinct_colours -= 1
         self.in_edges[head].pop()
-        self.out_heads[tail].pop()
+        self.out_edges[tail].pop()
         return e
 
     def edge_colour(self, tail: int, head: int) -> int | None:
@@ -117,13 +120,18 @@ def _check_root(n: int, root: int) -> None:
         raise ValueError(f"root {root} out of range [0, {n})")
 
 
-def forward_closure(adjacency: list[list[int]], roots: Iterable[int]) -> set[int]:
-    """All vertices reachable from `roots` along the adjacency lists."""
+def forward_closure(edge_lists: list[list], roots: Iterable[int], end: int = 1) -> set[int]:
+    """All vertices reached from `roots` by steps v -> e[end], e in edge_lists[v].
+
+    Over g.out_edges with end 1 that is the forward closure under g's
+    edges; over g.in_edges with end 0 it is the forward closure under the
+    reversed edges, the vertices that reach `roots`.
+    """
     seen = set(roots)
     stack = list(seen)
     while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
+        for e in edge_lists[stack.pop()]:
+            w = e[end]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -135,7 +143,7 @@ def reachable_from(g: ColouredDigraph, roots: Iterable[int]) -> set[int]:
     roots = set(roots)
     for v in roots:
         _check_root(g.n, v)
-    return forward_closure(g.out_heads, roots)
+    return forward_closure(g.out_edges, roots)
 
 
 def spanning_roots(g: ColouredDigraph) -> list[int]:
@@ -148,12 +156,12 @@ def spanning_roots(g: ColouredDigraph) -> list[int]:
     that first sees a root starts at a vertex that reaches the root, and
     nothing is left unseen after it. The last start is therefore a root if
     any vertex is, and then the roots are exactly the vertices that reach
-    it, found by one closure over reversed edges.
+    it, found by one closure backwards over g.in_edges.
     """
     n = g.n
     if g.zero_in_count >= 2:
         return []  # two in-degree-zero vertices can never both be reached
-    out = g.out_heads
+    out = g.out_edges
     if g.zero_in_count == 1:
         z = g.in_deg.index(0)
         return [z] if len(forward_closure(out, (z,))) == n else []
@@ -166,14 +174,14 @@ def spanning_roots(g: ColouredDigraph) -> list[int]:
         seen[s] = 1
         stack = [s]
         while stack:
-            for w in out[stack.pop()]:
+            for e in out[stack.pop()]:
+                w = e[1]
                 if not seen[w]:
                     seen[w] = 1
                     stack.append(w)
     if len(forward_closure(out, (last,))) < n:
         return []
-    tails = [[e.tail for e in ins] for ins in g.in_edges]
-    return sorted(forward_closure(tails, (last,)))
+    return sorted(forward_closure(g.in_edges, (last,), end=0))
 
 
 def has_spanning_arborescence(g: ColouredDigraph) -> bool:

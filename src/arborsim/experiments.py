@@ -67,8 +67,11 @@ class ExperimentReport(NamedTuple):
 
 def _run_rows(worker: Callable, args: Sequence, threads: int) -> list:
     # The pool forks all its workers at the first submit, so never ask for
-    # more than there are rows or CPUs.
-    workers = min(threads, len(args), os.cpu_count() or 1)
+    # more than there are rows or CPUs; CPUs are counted only when more than
+    # one worker is asked for.
+    workers = min(threads, len(args))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args]
     # Imported only when workers start: the pool's modules (multiprocessing,
@@ -272,7 +275,7 @@ def _degree_trial(args: tuple) -> tuple:
             key = (v, e.colour)
             per_vertex_colour[key] = per_vertex_colour.get(key, 0) + 1
     max_mult = max(g.colour_mult)
-    max_deg = max(d + len(out) for d, out in zip(g.in_deg, g.out_heads))
+    max_deg = max(d + len(out) for d, out in zip(g.in_deg, g.out_edges))
     max_same = max(per_vertex_colour.values()) if per_vertex_colour else 0
     return (trial, seed, max_mult, max_deg, max_same,
             min(low_counts), max(low_counts),

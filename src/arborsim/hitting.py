@@ -15,9 +15,11 @@ it pops edges to go down and re-adds them before it streams new ones to go
 up, so no prefix edge is drawn twice or built into a second graph. Z and
 A always happen; C and R can fail to ever happen, in which case their times
 are reported as undefined (None) rather than clamped to the last step. The
-constructive heuristic runs once, at m_Z, from the one vertex of in-degree
-zero there, which is the only possible root; its success settles m_R = m_Z
-in auto and exact modes; in heuristic mode it is the answer.
+constructive heuristic runs once, at m_Z when C already holds there, from
+the one vertex of in-degree zero, which is the only possible root, and
+before any search for m_A. Its certificate spans, so its success settles
+m_A = m_Z with no reachability pass, and m_R = m_Z in auto and exact
+modes; in heuristic mode it is the answer.
 """
 
 from __future__ import annotations
@@ -93,11 +95,14 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     last bracket. Each of those probes is event_holds on that one graph,
     moved to the probed prefix by popping edges or adding them back.
 
-    R needs C and A, so the heuristic runs once, at m_Z, only when
-    max(m_A, m_C) = m_Z (on the grown graph itself), from its one vertex
-    of in-degree zero, the only possible root; heuristic_at_z is its
-    verdict. Heuristic mode stops there (m_r is m_z or unknown), since
-    one-sided decisions cannot drive a sound search. Auto and exact stop on
+    R needs C, so the heuristic runs once, at m_Z, only when m_C <= m_Z
+    (on the grown graph itself, which then stops at m_Z), from its one
+    vertex of in-degree zero, the only possible root; heuristic_at_z is
+    its verdict. It runs before m_A is searched for: A needs Z, and a
+    verified certificate is a spanning arborescence, so success gives
+    m_A = m_Z, and only a failure, or C failing at m_Z, gallops for m_A.
+    Heuristic mode stops there (m_r is m_z or unknown), since one-sided
+    decisions cannot drive a sound search. Auto and exact stop on
     success, since a verified certificate at the lower bound m_Z is exact;
     else auto, exact and oracle gallop from max(m_A, m_C) with their own
     solver, the budget applying per rainbow decision. Oracle, the
@@ -136,17 +141,17 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
             g.add_edge(e)
         return g
 
-    m_a = gallop(m_z, total, lambda m: event_holds(graph(m), "A"))
+    # R needs C; when m_C <= m_Z, g stopped growing at m_Z.
+    at_z = (m_c is not None and m_c <= m_z
+            and heuristic_construct(g, g.in_deg.index(0)).success)
+    # A verified certificate spans and A needs Z, so success settles m_A.
+    m_a = m_z if at_z else gallop(m_z, total, lambda m: event_holds(graph(m), "A"))
     assert m_a is not None  # the complete digraph has a spanning arborescence
 
     if m_c is None:
         # Fewer than n-1 colours ever appear, so R never happens either.
         return HittingTimes(None, m_z, m_a, None, "exact", False)
 
-    at_z = False
-    if max(m_a, m_c) == m_z:
-        h = graph(m_z)
-        at_z = heuristic_construct(h, h.in_deg.index(0)).success
     if r_mode == "heuristic":
         if at_z:
             return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified", True)

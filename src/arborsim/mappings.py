@@ -92,7 +92,7 @@ def epidemic_spread(m: RandomMapping, infected: set[int]) -> set[int]:
     for v in infected:
         if not 0 <= v < m.n:
             raise ValueError(f"vertex {v} out of range [0, {m.n})")
-    children: list[list[int]] = [[] for _ in range(m.n)]
-    for v in range(m.n):
-        children[m.in_nbr[v]].append(v)
-    return forward_closure(children, infected)
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
+    for v, u in enumerate(m.in_nbr):
+        out_edges[u].append((u, v))
+    return forward_closure(out_edges, infected)

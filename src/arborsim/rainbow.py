@@ -215,24 +215,24 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
 
     The tables are the graph's own where they can be. In-edges are
     g.in_edges, whose process order fixes the branch order and so the
-    nodes visited and the certificate. One pass over g.edges files each
-    edge, the same ColouredEdge object, under its tail in out_edges and
-    under its colour in colour_edges; take(), enter() and untake() read
-    those, and their updates do not depend on the order. heads_of and
-    `live` start from g.colour_mult and g.distinct_colours, and `parent`
-    maps each tree vertex to its chosen edge and becomes the certificate.
-    Only the memo's colour masks renumber the colours, densely in order of
-    first appearance. Everything is freed when the search returns.
+    nodes visited and the certificate, and out-edges are g.out_edges, the
+    same ColouredEdge objects, read as they are. One pass over g.edges
+    files each edge under its colour in colour_edges; take(), enter() and
+    untake() read these tables, and their updates do not depend on the
+    order. heads_of and `live` start from g.colour_mult and
+    g.distinct_colours, and `parent` maps each tree vertex to its chosen
+    edge, one of g's own, and becomes the certificate. Only the memo's
+    colour masks renumber the colours, densely in order of first
+    appearance. Everything the search builds is freed when it returns.
     """
     n = g.n
     full = (1 << n) - 1
     in_edges = g.in_edges
-    out_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
+    out_edges = g.out_edges
     colour_edges: dict[int, list[ColouredEdge]] = {}
     # Edges are indexed, not unpacked, on every path a node takes: CPython
     # unpacks a NamedTuple through an iterator, about 1.4x the cost.
     for e in g.edges:
-        out_edges[e[0]].append(e)
         es = colour_edges.get(e[2])
         if es is None:
             colour_edges[e[2]] = [e]
@@ -342,7 +342,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
             failed.add(key)
             return False
         if cut is None:  # the root state
-            if len(forward_closure(g.out_heads, (root,))) < n:
+            if len(forward_closure(out_edges, (root,))) < n:
                 failed.add(key)
                 return False
         elif cut and not all(map(reached, cut)):
@@ -555,38 +555,41 @@ def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | No
     """Min-conflicts repair of a spanning out-tree into a rainbow one, or None.
 
     The state is one parent edge per non-root vertex, always a spanning
-    arborescence, starting from the root's BFS out-tree; a vertex is
-    conflicted while another vertex's parent edge has its colour. Each step
-    picks a conflicted vertex v uniformly (Minton, Johnston, Philips and
-    Laird 1992). Its moves are its other in-edges whose tail is not in v's
-    subtree, which a walk up the tail's parent chain tests. One step in
-    _LOCAL_SEARCH_NOISE takes a random move, as WalkSAT does (Selman,
-    Kautz and Cohen 1994); the others take a random one of the moves to a
-    colour no vertex holds, which lower the conflict count, or any move
-    when there is none. The holders of each colour and the conflicted
-    vertices, in a list with each vertex's slot in it, are updated per
-    move, so a step costs the in-degree of v times the depth of the tree.
-    Draws come from one fixed SplitMix64 substream, so the same graph and
-    root give the same answer. It stops with a verified certificate when
-    nothing is conflicted, or with None when the root reaches too few
-    vertices or _LOCAL_SEARCH_STEPS * n steps have run.
+    arborescence, starting from the root's BFS out-tree over g.out_edges; a
+    vertex is conflicted while another vertex's parent edge has its colour.
+    Each step picks a conflicted vertex v uniformly (Minton, Johnston,
+    Philips and Laird 1992). Its moves are its other in-edges whose tail is
+    not in v's subtree, which a walk up the tail's parent chain tests. One
+    step in _LOCAL_SEARCH_NOISE takes a random move, as WalkSAT does
+    (Selman, Kautz and Cohen 1994); the others take a random one of the
+    moves to a colour no vertex holds, which lower the conflict count, or
+    any move when there is none. The holders of each colour and the
+    conflicted vertices, in a list with each vertex's slot in it, are
+    updated per move, so a step costs the in-degree of v times the depth of
+    the tree. Draws come from one fixed SplitMix64 substream, so the same
+    graph and root give the same answer. Every parent edge is one of g's
+    own edge objects, so the certificate is made of them. It stops with a
+    verified certificate when nothing is conflicted, or with None when the
+    root reaches too few vertices or _LOCAL_SEARCH_STEPS * n steps have
+    run.
     """
     n = g.n
-    par = [-1] * n
-    col = [-1] * n
+    par = [-1] * n  # v's parent, for the walks up the tree
+    edge: list[ColouredEdge | None] = [None] * n  # v's parent edge
     par[root] = root
     tree = [root]
     for t in tree:
-        for h in g.out_heads[t]:
+        for e in g.out_edges[t]:
+            h = e[1]
             if par[h] < 0:
                 par[h] = t
-                col[h] = g.edge_colour(t, h)
+                edge[h] = e
                 tree.append(h)
     if len(tree) < n:
         return None
     holders: dict[int, list[int]] = {}  # colour -> the vertices it enters; never empty
     for v in tree[1:]:
-        holders.setdefault(col[v], []).append(v)
+        holders.setdefault(edge[v][2], []).append(v)
     conflicted: list[int] = []
     slot = [-1] * n  # v's index in conflicted, or -1
 
@@ -626,33 +629,41 @@ def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | No
             continue
         if next(draws) * _LOCAL_SEARCH_NOISE >> 64:
             moves = [e for e in moves if e[2] not in holders] or moves
-        t, _, c = moves[next(draws) * len(moves) >> 64]
-        vs = holders[col[v]]  # v is conflicted, so vs keeps another vertex
+        e = moves[next(draws) * len(moves) >> 64]
+        vs = holders[edge[v][2]]  # v is conflicted, so vs keeps another vertex
         vs.remove(v)
         if len(vs) == 1:
             unmark(vs[0])
-        par[v] = t
-        col[v] = c
-        vs = holders.setdefault(c, [])
+        par[v] = e[0]
+        edge[v] = e
+        vs = holders.setdefault(e[2], [])
         vs.append(v)
         if len(vs) == 1:
             unmark(v)
         elif len(vs) == 2:
             mark(vs[0])
-    parent_edge = {v: ColouredEdge(par[v], v, col[v]) for v in tree[1:]}
+    parent_edge = {v: edge[v] for v in tree[1:]}
     return _verified(g, ArborescenceCertificate(root, parent_edge), "local search")
 
 
 def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     """One-sided constructive attempt, fast at process scale.
 
-    Local search (_local_search) runs first. When it gives up, the attach
-    construction (_attach_construct) runs, and its certificate or failure
-    reason is the answer, so this never misses a certificate that attach
-    alone would build. Success returns a verified certificate; failure
-    proves nothing.
+    First one look over the non-root vertices of in-degree at most 1
+    tests Hall's condition on sets of one or two of them: a vertex with no
+    in-edge, or two whose only in-edges share a colour, leave V \\ {root}
+    no injective colour assignment, so no rainbow arborescence, and the
+    answer is attach's failure reason at once. Otherwise local search
+    (_local_search) runs. When it gives up, the attach construction
+    (_attach_construct) runs, and its certificate or failure reason is the
+    answer, so this never misses a certificate that attach alone would
+    build. Success returns a verified certificate; failure proves nothing.
     """
     _check_root(g.n, root)
+    in_edges = g.in_edges
+    lone = [in_edges[v] for v, d in enumerate(g.in_deg) if d < 2 and v != root]
+    if not all(lone) or len({es[0][2] for es in lone}) < len(lone):
+        return HeuristicOutcome(None, failure_reason="no injective colour assignment")
     cert = _local_search(g, root)
     if cert is not None:
         return HeuristicOutcome(cert)

@@ -83,6 +83,26 @@ def test_pop_edge_inverts_add_edge():
         assert _slots(g) == _slots(ColouredDigraph(n, w))
 
 
+def test_out_edges_hold_the_in_edges_objects():
+    # out_edges[t] files each edge object of in_edges[h] under its tail, in
+    # insertion order, and pop_edge leaves the lists of a fresh prefix graph
+    rng = SplitMix64(4111)
+    for _ in range(200):
+        n = 2 + rng.below(6)
+        w = 1 + rng.below(5)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        edges = list(g.edges)
+        for k in range(len(edges), -1, -1):
+            while len(g) > k:
+                g.pop_edge()
+            assert g.out_edges == graph_from_edges(n, w, edges[:k]).out_edges
+            assert sum(map(len, g.out_edges)) == k
+            for t, outs in enumerate(g.out_edges):
+                assert [e.tail for e in outs] == [t] * len(outs)
+                for e in outs:
+                    assert any(x is e for x in g.in_edges[e.head])
+
+
 def test_reachable_from_examples():
     g = graph_from_edges(3, 2, [(0, 1, 0)])
     assert reachable_from(g, range(3)) == {0, 1, 2}

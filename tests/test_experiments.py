@@ -104,6 +104,17 @@ def test_worker_count_is_capped_at_the_trial_count(monkeypatch):
     assert pools == [3, 2, 4]
 
 
+def test_one_worker_runs_without_counting_cpus(monkeypatch):
+    def no_cpu_count():
+        raise AssertionError("counted CPUs for one worker")
+
+    expected = run_theorem_experiment(8, 3, seed=5, threads=1).rows
+    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+    assert run_theorem_experiment(8, 3, seed=5, threads=1).rows == expected
+    # one row with more threads asked for is one worker too
+    assert run_theorem_experiment(8, 1, seed=5, threads=4).rows == expected[:1]
+
+
 def test_summaries_recomputable_from_rows():
     report = run_coupon_experiment(60, 50, seed=5)
     again = _summarize_coupon(report.rows, 50, report.params["bound"])

@@ -6,7 +6,7 @@ import pytest
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
-from arborsim.rainbow import MODES, brute_force_oracle, decide
+from arborsim.rainbow import MODES, brute_force_oracle, decide, heuristic_construct
 from arborsim.rng import SplitMix64, derive_trial_seed
 from helpers import graph_from_edges
 
@@ -48,6 +48,38 @@ def event_scan_hitting_times(config, mode):
             heuristic_at_z = decide(g, mode="heuristic").outcome == "found"
     return HittingTimes(first["C"], first["Z"], first["A"], first["R"], "exact",
                         heuristic_at_z)
+
+
+def gallop_first_hitting_times(trace, r_mode, budget_s=None):
+    """Reference: m_A galloped first, then the heuristic at m_Z only when
+    max(m_A, m_C) = m_Z, each probe on a prefix graph built afresh."""
+    n, total = trace.n, trace.total_edges
+    m_c = m_z = None
+    g = ColouredDigraph(n, trace.colour_count)
+    for m, e in enumerate(trace.prefix(total), start=1):
+        g.add_edge(e)
+        if m_c is None and g.distinct_colours >= n - 1:
+            m_c = m
+        if m_z is None and g.zero_in_count <= 1:
+            m_z = m
+        if m_z is not None and (m_c is not None or trace.colour_count < n - 1):
+            break
+    m_a = gallop(m_z, total, lambda m: has_spanning_arborescence(trace.graph_at(m)))
+    if m_c is None:
+        return HittingTimes(None, m_z, m_a, None, "exact", False)
+    at_z = False
+    if max(m_a, m_c) == m_z:
+        h = trace.graph_at(m_z)
+        at_z = heuristic_construct(h, h.in_deg.index(0)).success
+    if r_mode == "heuristic":
+        if at_z:
+            return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified", True)
+        return HittingTimes(m_c, m_z, m_a, None, "unknown", False)
+    if at_z and r_mode != "oracle":
+        return HittingTimes(m_c, m_z, m_a, m_z, "exact", True)
+    m_r = gallop(max(m_a, m_c), total,
+                 lambda m: event_holds(trace.graph_at(m), "R", r_mode, budget_s))
+    return HittingTimes(m_c, m_z, m_a, m_r, "exact", at_z)
 
 
 def test_event_holds_examples():
@@ -104,6 +136,41 @@ def test_search_equals_event_scan_in_every_two_sided_mode():
         for mode in ("exact", "auto", "oracle"):
             ht = hitting_times(ProcessTrace(config), r_mode=mode, budget_s=None)
             assert ht == event_scan_hitting_times(config, mode), (config, mode)
+
+
+def test_constructor_first_equals_gallop_first():
+    # the heuristic runs at m_Z before m_A is searched for; the answers are
+    # those of galloping for m_A first
+    rng = SplitMix64(9191)
+    cases = []
+    for _ in range(120):
+        n = 2 + rng.below(7)  # n in [2, 8], small enough for the oracle
+        w = max(1, n - 2 + rng.below(4))  # C never, C late (W = n - 1), or either
+        cases.append((ProcessConfig(n, w, rng.next_u64()), MODES))
+    # W = n - 1 puts m_C after m_Z; heuristic mode reads m_A and stops
+    # before the rainbow search, which an exact solver may not finish here
+    cases += [(ProcessConfig(n, n - 1, seed), ("heuristic",))
+              for n in (30, 60) for seed in range(4)]
+    # theorem-n200 seed-1 input 7: the in-degree-zero vertex at m_Z spans nothing
+    cases.append((ProcessConfig(200, "auto", derive_trial_seed(1_000_007, 0)),
+                  ("auto", "exact", "heuristic")))
+    kinds = set()
+    for config, modes in cases:
+        for mode in modes:
+            ht = hitting_times(ProcessTrace(config), r_mode=mode, budget_s=None)
+            assert ht == gallop_first_hitting_times(ProcessTrace(config), mode), (config, mode)
+            if ht.heuristic_at_z:
+                assert ht.m_a == ht.m_z
+            if ht.m_c is None:
+                kinds.add("C never")
+            elif ht.m_c > ht.m_z:
+                kinds.add("C after Z")
+            elif ht.m_a > ht.m_z:
+                kinds.add("z spans nothing at m_Z")
+            else:
+                kinds.add("heuristic certifies" if ht.heuristic_at_z else "heuristic fails")
+    assert kinds == {"C never", "C after Z", "z spans nothing at m_Z",
+                     "heuristic certifies", "heuristic fails"}
 
 
 def test_gallop_finds_least_true_with_few_nearby_probes():

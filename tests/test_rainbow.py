@@ -345,6 +345,43 @@ def test_constructor_is_sound_deterministic_and_no_weaker_than_attach():
     assert found > 0 and local_only > 0
 
 
+def test_local_search_certificate_is_made_of_the_graphs_own_edges():
+    graphs = [prefix_at_m(200, derive_trial_seed(1_000_000 + i, 0)) for i in range(4)]
+    rng = SplitMix64(8088)
+    for _ in range(100):
+        n = 2 + rng.below(8)
+        graphs.append(random_graph(rng, n, n + rng.below(4), rng.below(n * (n - 1) + 1)))
+    certified = 0
+    for g in graphs:
+        for root in range(min(g.n, 3)):
+            cert = _local_search(g, root)
+            if cert is None:
+                continue
+            certified += 1
+            for v, e in cert.parent_edge.items():
+                assert any(x is e for x in g.in_edges[v])
+    assert certified > 4
+
+
+def test_hall_violations_skip_local_search(monkeypatch):
+    def no_local_search(*args, **kwargs):
+        raise AssertionError("local search ran")
+
+    monkeypatch.setattr(rainbow, "_local_search", no_local_search)
+    for n, w, edges, root in (
+        (3, 3, [(0, 1, 0), (1, 0, 1)], 0),  # vertex 2 has no in-edge
+        (4, 4, [(0, 1, 2), (0, 2, 2), (1, 3, 0), (2, 3, 1)], 0),  # 1 and 2 share colour 2
+    ):
+        g = graph_from_edges(n, w, edges)
+        out = heuristic_construct(g, root)
+        assert out == _attach_construct(g, root)
+        assert out.failure_reason == "no injective colour assignment"
+    # the root's own in-edge does not count
+    g = graph_from_edges(3, 3, [(1, 0, 2), (0, 1, 2), (0, 2, 1)])
+    with pytest.raises(AssertionError, match="local search ran"):
+        heuristic_construct(g, 0)
+
+
 def test_exact_mode_never_runs_the_constructor(monkeypatch):
     def no_constructor(*args, **kwargs):
         raise AssertionError("exact mode ran a constructor")
