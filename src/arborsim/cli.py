@@ -186,16 +186,21 @@ def _emit(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _load_graph(path: str) -> ColouredDigraph | int:
+def _load_graph(path: str, root: int | None) -> ColouredDigraph | int:
+    """The graph in the edge-list file, or the exit code; root is 0-based or None."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return edgelist.load(fh)
+            g = edgelist.load(fh)
     except OSError as exc:
         print(f"arborsim: cannot read {path}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:
         print(f"arborsim: bad edge list {path}: {exc}", file=sys.stderr)
         return 1
+    if root is not None and not 0 <= root < g.n:
+        print(f"arborsim: root out of range 1..{g.n}", file=sys.stderr)
+        return 1
+    return g
 
 
 def _cmd_simulate(args) -> int:
@@ -229,12 +234,9 @@ def _cmd_hitting_times(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    g = _load_graph(args.input)
+    g = _load_graph(args.input, args.root)
     if isinstance(g, int):
         return g
-    if args.root is not None and not 0 <= args.root < g.n:
-        print(f"arborsim: root out of range 1..{g.n}", file=sys.stderr)
-        return 1
     result = decide(g, mode=args.mode, root=args.root,
                     budget_s=args.budget_ms / 1000.0)
     if result.outcome == "found":
@@ -254,15 +256,12 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    g = _load_graph(args.input)
+    g = _load_graph(args.input, args.root)
     if isinstance(g, int):
         return g
     root = args.root
     if root is None:
-        root = min(range(g.n), key=lambda v: (g.in_deg[v], v))
-    elif not 0 <= root < g.n:
-        print(f"arborsim: root out of range 1..{g.n}", file=sys.stderr)
-        return 1
+        root = min(range(g.n), key=lambda v: (len(g.in_edges[v]), v))
     bigraph = build_colour_bigraph(g)
     assignment = find_colour_assignment(bigraph, root)
     if assignment is not None:

@@ -4,10 +4,11 @@ The graph grows one edge at a time, and `pop_edge` takes back the last
 edge added, so a graph can move down and up one edge sequence. Each edge
 is one `ColouredEdge` object, filed under its head in `in_edges` and under
 its tail in `out_edges`, so both directions hand out the graph's own
-edges, and one closure helper (`forward_closure`) walks either. In-degrees,
-per-colour multiplicities, the number of in-degree-zero vertices and the
-number of distinct colours present are maintained incrementally, both
-ways, so that event detection after each step is O(1).
+edges, and one closure helper (`forward_closure`) walks either; a vertex's
+in-degree is the length of its in-edge list. Per-colour multiplicities,
+the number of in-degree-zero vertices and the number of distinct colours
+present are maintained incrementally, both ways, so that event detection
+after each step is O(1).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class ColouredDigraph:
         "n",
         "colour_count",
         "edges",
-        "in_deg",
         "colour_mult",
         "zero_in_count",
         "distinct_colours",
@@ -57,11 +57,11 @@ class ColouredDigraph:
         self.n = n
         self.colour_count = colour_count
         self.edges: list[ColouredEdge] = []
-        self.in_deg = _zeros(n, "vertex count n")
+        # _zeros first, so an n that memory cannot hold fails before any loop
+        self.in_edges: list[list[ColouredEdge]] = [[] for _ in _zeros(n, "vertex count n")]
         self.colour_mult = _zeros(colour_count, "colour count W")
         self.zero_in_count = n
         self.distinct_colours = 0
-        self.in_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
         self.out_edges: list[list[ColouredEdge]] = [[] for _ in range(n)]
         # pair index -> colour; doubles as the duplicate-edge presence map
         self._colour_of_pair: dict[int, int] = {}
@@ -80,13 +80,13 @@ class ColouredDigraph:
             raise DuplicateEdgeError(f"edge ({tail}, {head}) already present")
         self._colour_of_pair[key] = colour
         self.edges.append(e)
-        if self.in_deg[head] == 0:
+        ins = self.in_edges[head]
+        if not ins:
             self.zero_in_count -= 1
-        self.in_deg[head] += 1
+        ins.append(e)
         if self.colour_mult[colour] == 0:
             self.distinct_colours += 1
         self.colour_mult[colour] += 1
-        self.in_edges[head].append(e)
         self.out_edges[tail].append(e)
 
     def pop_edge(self) -> ColouredEdge:
@@ -97,18 +97,22 @@ class ColouredDigraph:
         e = self.edges.pop()
         tail, head, colour = e
         del self._colour_of_pair[tail * self.n + head]
-        self.in_deg[head] -= 1
-        if self.in_deg[head] == 0:
+        ins = self.in_edges[head]
+        ins.pop()
+        if not ins:
             self.zero_in_count += 1
         self.colour_mult[colour] -= 1
         if self.colour_mult[colour] == 0:
             self.distinct_colours -= 1
-        self.in_edges[head].pop()
         self.out_edges[tail].pop()
         return e
 
     def edge_colour(self, tail: int, head: int) -> int | None:
-        return self._colour_of_pair.get(tail * self.n + head)
+        """The colour of edge (tail, head), or None when g has no such edge."""
+        n = self.n
+        if not (0 <= tail < n and 0 <= head < n):
+            return None
+        return self._colour_of_pair.get(tail * n + head)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -163,7 +167,7 @@ def spanning_roots(g: ColouredDigraph) -> list[int]:
         return []  # two in-degree-zero vertices can never both be reached
     out = g.out_edges
     if g.zero_in_count == 1:
-        z = g.in_deg.index(0)
+        z = g.in_edges.index([])
         return [z] if len(forward_closure(out, (z,))) == n else []
     seen = bytearray(n)
     last = 0

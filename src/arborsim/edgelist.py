@@ -11,7 +11,8 @@ spaces and tabs, each ending in a newline) is parsed in bulk; every other
 chunk, and any chunk holding a fault, goes through the line-by-line
 parser, whose error messages name the line. Both paths insert the edges
 through `ColouredDigraph.add_edge` in file order, so they build the same
-graph and raise the same errors.
+graph and raise the same errors: a bulk chunk that `add_edge` rejects is
+undone and read again line by line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import IO, Iterable
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge
+from arborsim.digraph import ColouredDigraph, ColouredEdge, DuplicateEdgeError
 
 _CHUNK_HINT = 1 << 16
 _CANONICAL = re.compile(
@@ -50,9 +51,9 @@ def _load_canonical(text: str, g: ColouredDigraph | None) -> ColouredDigraph | N
     """Insert a chunk in dump's layout into g, or the graph its header opens.
 
     Returns None, having changed nothing, when the chunk is in any other
-    layout, has a header where none is due or none where one is, or holds a
-    number that is not an integer of the line parser or out of range; the
-    line parser then reports the fault with its line.
+    layout, has a header where none is due or none where one is, holds a
+    number that is not an integer of the line parser, or holds an edge that
+    add_edge rejects; the line parser then reports the fault with its line.
     """
     match = _CANONICAL.fullmatch(text)
     if match is None or (match["header"] is None) == (g is None):
@@ -61,24 +62,19 @@ def _load_canonical(text: str, g: ColouredDigraph | None) -> ColouredDigraph | N
         values = list(map(int, text.split()))
     except ValueError:  # e.g. more digits than int() converts
         return None
-    if g is None:
-        n, w = values[0], values[1]
-        start = 2
-    else:
-        n, w = g.n, g.colour_count
-        start = 0
-    tails, heads, colours = values[start::3], values[start + 1::3], values[start + 2::3]
-    if tails and not (
-        1 <= min(tails) and max(tails) <= n
-        and 1 <= min(heads) and max(heads) <= n
-        and 1 <= min(colours) and max(colours) <= w
-    ):
-        return None
-    if g is None:
-        g = ColouredDigraph(n, w)
+    opened = g is None
+    if opened:
+        g = ColouredDigraph(values[0], values[1])
+        del values[:2]
+    size = len(g)
     add, new = g.add_edge, tuple.__new__
-    for t, h, c in zip(tails, heads, colours):
-        add(new(ColouredEdge, (t - 1, h - 1, c - 1)))
+    try:
+        for t, h, c in zip(values[::3], values[1::3], values[2::3]):
+            add(new(ColouredEdge, (t - 1, h - 1, c - 1)))
+    except ValueError:  # includes DuplicateEdgeError; a graph opened here is dropped
+        while not opened and len(g) > size:
+            g.pop_edge()
+        return None
     return g
 
 
@@ -110,5 +106,10 @@ def _load_lines(lines: list[str], lineno: int, g: ColouredDigraph | None) -> Col
             raise ValueError(f"line {lineno}: vertex out of range 1..{n}")
         if not 1 <= colour <= w:
             raise ValueError(f"line {lineno}: colour out of range 1..{w}")
-        g.add_edge(ColouredEdge(tail - 1, head - 1, colour - 1))
+        if tail == head:
+            raise ValueError(f"line {lineno}: self-loop rejected: ({tail}, {head})")
+        try:
+            g.add_edge(ColouredEdge(tail - 1, head - 1, colour - 1))
+        except DuplicateEdgeError:
+            raise DuplicateEdgeError(f"line {lineno}: edge ({tail}, {head}) already present") from None
     return g

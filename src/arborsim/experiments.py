@@ -275,7 +275,7 @@ def _degree_trial(args: tuple) -> tuple:
             key = (v, e.colour)
             per_vertex_colour[key] = per_vertex_colour.get(key, 0) + 1
     max_mult = max(g.colour_mult)
-    max_deg = max(d + len(out) for d, out in zip(g.in_deg, g.out_edges))
+    max_deg = max(len(ins) + len(out) for ins, out in zip(g.in_edges, g.out_edges))
     max_same = max(per_vertex_colour.values()) if per_vertex_colour else 0
     return (trial, seed, max_mult, max_deg, max_same,
             min(low_counts), max(low_counts),

@@ -143,7 +143,7 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
 
     # R needs C; when m_C <= m_Z, g stopped growing at m_Z.
     at_z = (m_c is not None and m_c <= m_z
-            and heuristic_construct(g, g.in_deg.index(0)).success)
+            and heuristic_construct(g, g.in_edges.index([])).success)
     # A verified certificate spans and A needs Z, so success settles m_A.
     m_a = m_z if at_z else gallop(m_z, total, lambda m: event_holds(graph(m), "A"))
     assert m_a is not None  # the complete digraph has a spanning arborescence

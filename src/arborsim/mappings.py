@@ -50,7 +50,6 @@ def cycle_components(m: RandomMapping) -> list[MappingComponent]:
     """Component decomposition by iterated in-neighbour walks, O(n) total."""
     n = m.n
     comp_of = [-1] * n
-    walk_mark = [-1] * n
     cycles: dict[int, list[int]] = {}
     members: dict[int, list[int]] = {}
     next_comp = 0
@@ -64,7 +63,7 @@ def cycle_components(m: RandomMapping) -> list[MappingComponent]:
             if comp_of[v] != -1:
                 cid = comp_of[v]
                 break
-            if walk_mark[v] == s:
+            if v in pos:
                 cid = next_comp
                 next_comp += 1
                 cycle = path[pos[v]:]
@@ -72,7 +71,6 @@ def cycle_components(m: RandomMapping) -> list[MappingComponent]:
                 cycles[cid] = cycle[low:] + cycle[:low]
                 members[cid] = []
                 break
-            walk_mark[v] = s
             pos[v] = len(path)
             path.append(v)
             v = m.in_nbr[v]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
@@ -114,15 +114,16 @@ def brute_force_oracle(
     """Exhaustive ground truth: every root, every in-edge selection.
 
     It uses no root-selection rule, so it checks that rule independently.
-    Fewer than n - 1 colours answer None at once, and a root is skipped
-    when some other vertex has no in-edge, so two in-degree-zero vertices
-    skip every root. Raises OracleTooLargeError instead of ever guessing
-    when the search space for some root exceeds `guard` and no certificate
-    was found among the affordable roots.
+    A given root must be a vertex (ValueError otherwise) and is the only
+    one tried. Fewer than n - 1 colours answer None at once, and a root is
+    skipped when some other vertex has no in-edge, so two in-degree-zero
+    vertices skip every root. Raises OracleTooLargeError instead of ever
+    guessing when the search space for some root exceeds `guard` and no
+    certificate was found among the affordable roots.
     """
-    from itertools import product
-
     n = g.n
+    if root is not None:
+        _check_root(n, root)
     if g.distinct_colours < n - 1:
         return None
     deferred = False
@@ -152,15 +153,17 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
 
     A root qualifies when it reaches every vertex (spanning_roots) and
     V \\ {root} has an injective colour assignment (assignment_roots, one
-    maximum matching for every root at once). A given root is kept only if
-    it qualifies. No other root carries a rainbow arborescence, so colour
-    enumeration, backtracking and the heuristic (in decide) all start from
-    these roots alone, and an empty list means there is none.
+    maximum matching for every root at once). A given root must be a vertex
+    (ValueError otherwise) and is kept only if it qualifies. No other root
+    carries a rainbow arborescence, so colour enumeration, backtracking and
+    the heuristic (in decide) all start from these roots alone, and an
+    empty list means there is none.
     """
     usable = assignment_roots(build_colour_bigraph(g)).intersection(spanning_roots(g))
     if root is not None:
+        _check_root(g.n, root)
         usable &= {root}
-    return sorted(usable, key=lambda v: (g.in_deg[v], v))
+    return sorted(usable, key=lambda v: (len(g.in_edges[v]), v))
 
 
 def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> ArborescenceCertificate | None:
@@ -408,8 +411,6 @@ def _decide_by_colour_enumeration(
     "inapplicable" when that exceeds the cap, read from the colour
     multiplicities before any edge is grouped.
     """
-    from itertools import product
-
     combos = 1
     for k in g.colour_mult:
         if k > 1:
@@ -461,8 +462,6 @@ def decide_exact(
     failed (vertex set, colour set) states; its docstring gives the state
     the search keeps, its prunes and their cost.
     """
-    if root is not None:
-        _check_root(g.n, root)
     roots = _candidate_roots(g, root)
     if not roots:
         return None
@@ -660,8 +659,7 @@ def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     build. Success returns a verified certificate; failure proves nothing.
     """
     _check_root(g.n, root)
-    in_edges = g.in_edges
-    lone = [in_edges[v] for v, d in enumerate(g.in_deg) if d < 2 and v != root]
+    lone = [es for v, es in enumerate(g.in_edges) if len(es) < 2 and v != root]
     if not all(lone) or len({es[0][2] for es in lone}) < len(lone):
         return HeuristicOutcome(None, failure_reason="no injective colour assignment")
     cert = _local_search(g, root)
@@ -692,8 +690,6 @@ def decide(
     """
     if mode not in MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
-    if root is not None:
-        _check_root(g.n, root)
 
     if mode == "oracle":
         cert = brute_force_oracle(g, root=root)

@@ -204,7 +204,7 @@ def test_criterion_09_heuristic_soundness_and_efficacy():
         trace = generate_trace(ProcessConfig(100, "auto", derive_trial_seed(1009, trial)))
         ht = hitting_times(trace, r_mode="heuristic")
         g = trace.graph_at(ht.m_z)
-        root = next(v for v in range(g.n) if g.in_deg[v] == 0)
+        root = next(v for v in range(g.n) if not g.in_edges[v])
         outcome = heuristic_construct(g, root)
         if outcome.success:
             successes += 1

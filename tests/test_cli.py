@@ -286,6 +286,15 @@ def test_root_zero_names_the_one_based_rule(tmp_path):
         assert "_root" not in err
 
 
+def test_root_past_n_is_out_of_range(tmp_path):
+    path = tmp_path / "cycle8.txt"
+    path.write_text("8 8\n" + "".join(f"{v} {v % 8 + 1} {v}\n" for v in range(1, 9)))
+    for command in ("decide", "assign"):
+        code, out, err = run_cli([command, "--input", str(path), "--root", "9"])
+        assert code == 1 and out == ""
+        assert err == "arborsim: root out of range 1..8\n"
+
+
 # (n, trace seed, heads): the trace's shortest prefix with n - 1 colours and
 # `heads` distinct heads, so n - 1 heads is the prefix at M = max(m_C, m_Z)
 # and n heads leaves every vertex a candidate root. Colour-class

@@ -34,6 +34,10 @@ def test_add_edge_rejects_bad_input():
         g.add_edge(ColouredEdge(1, 1, 0))
     with pytest.raises(ValueError):
         g.add_edge(ColouredEdge(0, 1, 2))
+    g.add_edge(ColouredEdge(1, 2, 1))
+    assert g.edge_colour(1, 2) == 1
+    # off the vertex range, even where tail * n + head is the key of (1, 2)
+    assert g.edge_colour(0, 5) is None and g.edge_colour(2, -1) is None
 
 
 def test_incremental_counters_match_recompute():
@@ -48,7 +52,7 @@ def test_incremental_counters_match_recompute():
         for e in g.edges:
             in_deg[e.head] += 1
             mult[e.colour] += 1
-        assert g.in_deg == in_deg
+        assert [len(es) for es in g.in_edges] == in_deg
         assert g.colour_mult == mult
         assert g.zero_in_count == sum(1 for d in in_deg if d == 0)
         assert g.distinct_colours == sum(1 for c in mult if c >= 1)

@@ -51,6 +51,22 @@ def test_duplicate_edge_in_file():
         edgelist.load(io.StringIO("3 2\n1 2 1\n1 2 2\n"))
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("3 2\n1 2 1\n2 2 1\n", ValueError, "line 3: self-loop rejected: (2, 2)"),
+        ("3 2\n# c\n1 2 1\n2 2 1\n", ValueError, "line 4: self-loop rejected: (2, 2)"),
+        ("3 2\n1 2 1\n1 2 2\n", DuplicateEdgeError, "line 3: edge (1, 2) already present"),
+        ("3 2\n1 2 1\n# c\n1 2 2\n", DuplicateEdgeError, "line 4: edge (1, 2) already present"),
+    ],
+)
+def test_self_loop_and_repeated_pair_name_their_line(text, error, message):
+    # the first and third inputs are in dump's layout, so they start on the bulk path
+    with pytest.raises(error) as info:
+        edgelist.load(io.StringIO(text))
+    assert type(info.value) is error and str(info.value) == message
+
+
 # Loader equivalence: `load` parses chunks in dump's layout in bulk and every
 # other chunk line by line. The reference is the line parser alone over the
 # whole input in one chunk.

@@ -67,7 +67,7 @@ def _theorem_n200_cases(construct) -> list[list]:
     for i in range(96):
         # op i of the theorem-n200 workload at benchmark seed 1
         g = _prefix_at_z(200, derive_trial_seed(1 * 10**6 + i, 0))
-        cases.append(_case(construct, f"theorem-n200 seed 1 input {i}", g, g.in_deg.index(0)))
+        cases.append(_case(construct, f"theorem-n200 seed 1 input {i}", g, g.in_edges.index([])))
     return cases
 
 

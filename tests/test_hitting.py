@@ -70,7 +70,7 @@ def gallop_first_hitting_times(trace, r_mode, budget_s=None):
     at_z = False
     if max(m_a, m_c) == m_z:
         h = trace.graph_at(m_z)
-        at_z = heuristic_construct(h, h.in_deg.index(0)).success
+        at_z = heuristic_construct(h, h.in_edges.index([])).success
     if r_mode == "heuristic":
         if at_z:
             return HittingTimes(m_c, m_z, m_a, m_z, "heuristic-certified", True)

@@ -198,6 +198,8 @@ def test_root_out_of_range_is_value_error():
                     decide(g, mode=mode, root=root)
             with pytest.raises(ValueError, match="out of range"):
                 decide_exact(g, root=root)
+            with pytest.raises(ValueError, match="out of range"):
+                brute_force_oracle(g, root=root)
 
 
 def test_exact_budget():
@@ -305,7 +307,7 @@ def test_heuristic_one_sided_and_sound():
         n = 3 + rng.below(10)  # n in [3, 12]
         w = 2 + rng.below(n + 4)
         g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
-        root = min(range(n), key=lambda v: (g.in_deg[v], v))
+        root = min(range(n), key=lambda v: (len(g.in_edges[v]), v))
         out = heuristic_construct(g, root)
         if out.success:
             statuses["success"] += 1
@@ -461,7 +463,7 @@ def test_heuristic_reaches_a_candidate_root_past_the_lowest_in_degrees():
     g = graph_from_edges(5, 5, [
         (1, 4, 0), (4, 2, 2), (4, 3, 0), (4, 0, 2), (2, 0, 0), (2, 3, 3), (2, 1, 2),
         (1, 3, 4), (3, 2, 2), (2, 4, 4), (3, 0, 2), (3, 1, 2), (0, 2, 2)])
-    assert g.zero_in_count == 0 and g.in_deg == [3, 2, 3, 3, 2]
+    assert g.zero_in_count == 0 and [len(es) for es in g.in_edges] == [3, 2, 3, 3, 2]
     assert _candidate_roots(g, None) == [1, 2]
     assert not any(heuristic_construct(g, r).success for r in (1, 4, 0))
     for mode in ("heuristic", "auto"):
