@@ -11,7 +11,7 @@ edges: every read of a prefix streams it afresh.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain
 from typing import IO, Iterator, NamedTuple
 
 from arborsim import edgelist
@@ -21,6 +21,7 @@ from arborsim.rng import (
     EDGE_STREAM,
     PRESENCE_STREAM,
     SplitMix64,
+    chunk_sizes,
     derive_stream_seed,
 )
 
@@ -72,6 +73,13 @@ class ProcessConfig(_ProcessFields):
         return self.colour_count  # type: ignore[return-value]
 
 
+def _colour_draws(colour_seed: int, colour_count: int, m: int | None = None) -> Iterator[int]:
+    """A colour stream: m uniform colours (unending for None), drawn in chunks."""
+    rng = SplitMix64(colour_seed)
+    w = [colour_count]
+    return chain.from_iterable(rng.below_list(w * size) for size in chunk_sizes(m))
+
+
 def pair_from_index(n: int, k: int) -> tuple[int, int]:
     """Ordered pair number k in [0, n(n-1)): tails in blocks, heads skip the tail."""
     tail, off = divmod(k, n - 1)
@@ -89,38 +97,43 @@ class ProcessTrace:
         self._edge_seed = derive_stream_seed(config.master_seed, EDGE_STREAM)
         self._colour_seed = derive_stream_seed(config.master_seed, COLOUR_STREAM)
 
-    def prefix_pairs(self, m: int) -> Iterator[tuple[int, int]]:
-        """First m (tail, head) pairs of the permutation, colour stream untouched."""
+    def _check_length(self, m: int) -> None:
         if not 0 <= m <= self.total_edges:
             raise ValueError(f"prefix length {m} outside [0, {self.total_edges}]")
-        n = self.n
+
+    def prefix_pairs(self, m: int) -> Iterator[tuple[int, int]]:
+        """First m (tail, head) pairs of the permutation, colour stream untouched.
+
+        One sparse partial Fisher-Yates loop, run over chunks of draws
+        (``rng.chunk_sizes``): step k swaps slot k with slot k + below(N - k).
+        """
+        self._check_length(m)
+        n1 = self.n - 1
         total = self.total_edges
         rng = SplitMix64(self._edge_seed)
         swapped: dict[int, int] = {}
-        for k, r in enumerate(rng.below_each(range(total, total - m, -1))):
-            j = k + r
-            vj = swapped.get(j, j)
-            swapped[j] = swapped.pop(k, k)
-            tail, off = divmod(vj, n - 1)
-            head = off if off < tail else off + 1
-            yield tail, head
-
-    def _colour_draws(self) -> Iterator[int]:
-        """The colour stream: one uniform colour per process step, unending."""
-        return SplitMix64(self._colour_seed).below_each(repeat(self.colour_count))
+        start = 0
+        for size in chunk_sizes(m):
+            draws = rng.below_list(range(total - start, total - start - size, -1))
+            for k, r in zip(range(start, start + size), draws):
+                j = k + r
+                vj = swapped.get(j, j)
+                swapped[j] = swapped.pop(k, k)
+                tail, off = divmod(vj, n1)
+                head = off if off < tail else off + 1
+                yield tail, head
+            start += size
 
     def prefix_colours(self, m: int) -> Iterator[int]:
         """First m colours (one per process step), edge stream untouched."""
-        if not 0 <= m <= self.total_edges:
-            raise ValueError(f"prefix length {m} outside [0, {self.total_edges}]")
-        # counted by range, not repeat(w, m): m may exceed sys.maxsize
-        for _, colour in zip(range(m), self._colour_draws()):
-            yield colour
+        self._check_length(m)
+        yield from _colour_draws(self._colour_seed, self.colour_count, m)
 
     def prefix(self, m: int) -> Iterator[ColouredEdge]:
         """First m coloured edges: prefix_pairs zipped with the colour draws."""
         new = tuple.__new__  # skips the Python-level ColouredEdge.__new__ call
-        for (tail, head), colour in zip(self.prefix_pairs(m), self._colour_draws()):
+        colours = _colour_draws(self._colour_seed, self.colour_count, m)
+        for (tail, head), colour in zip(self.prefix_pairs(m), colours):
             yield new(ColouredEdge, (tail, head, colour))
 
     def materialize(self) -> list[ColouredEdge]:
@@ -136,6 +149,7 @@ class ProcessTrace:
     def export(self, fh: IO[str], m: int | None = None) -> None:
         if m is None:
             m = self.total_edges
+        self._check_length(m)
         edgelist.dump(self.n, self.colour_count, self.prefix(m), fh)
 
 
@@ -155,7 +169,7 @@ def sample_dnp(n: int, p: float, colour_count: int, seed: int) -> ColouredDigrap
     if n == 1 or p == 0.0:
         return g
     total = n * (n - 1)
-    colours = SplitMix64(derive_stream_seed(seed, COLOUR_STREAM)).below_each(repeat(colour_count))
+    colours = _colour_draws(derive_stream_seed(seed, COLOUR_STREAM), colour_count)
     if p == 1.0:
         for k, colour in zip(range(total), colours):
             tail, head = pair_from_index(n, k)

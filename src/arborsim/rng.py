@@ -3,13 +3,16 @@
 Everything downstream (traces, samplers, experiments) draws from SplitMix64
 streams, so every run is reproducible from a single 64-bit seed and the
 generator is trivial to port to other languages. Bounded draws all run
-through one loop, ``SplitMix64.below_each``; ``below`` takes one draw from
-it. That loop takes its outputs from ``_block``, which computes the next k
-states and their ``mix64`` outputs at once: the states sit in k 128-bit
-lanes of one int, each finaliser step runs on the whole int, and every
-lane is masked back to 64 bits after each step, so a 64 x 64-bit product
-never carries into the next lane. ``mix64`` and ``next_u64`` are scalar:
-they define the stream, and the tests check the block kernel against
+through one kernel, ``_draws``, the one home of the rejection rule, which
+draws a whole list of bounds per call. ``SplitMix64.below_list`` is that
+kernel on the generator's state, and trace prefixes draw from it in
+chunks of 1, 2, 4, ... up to ``CHUNK_CAP`` = 128 (``chunk_sizes``);
+``below_each`` is its lazy, per-draw view, and ``below`` takes one draw.
+``_block`` computes k ``mix64`` outputs at once: the states sit in k
+128-bit lanes of one int, each finaliser step runs on the whole int, and
+every lane is masked back to 64 bits after each step, so a 64 x 64-bit
+product never carries into the next lane. ``mix64`` and ``next_u64`` are
+scalar: they define the stream, and the tests check the kernels against
 them. The constants below are fixed for all releases; the test suite pins
 a golden table of derived seeds and one of raw outputs, rejection-path
 draws and trace digests.
@@ -17,9 +20,10 @@ draws and trace digests.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
+from operator import mod
 from sys import byteorder
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 
@@ -39,13 +43,28 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# Lanes per block: _blocks doubles from 1 up to this, so a short stream
-# computes few unused outputs and a long one amortises the big-int work.
-_MAX_LANES = 1024
+# Lanes per block and draws per chunk: both double from 1 up to this, so a
+# stream read only a little way computes few unused outputs and a long one
+# amortises the per-block work. A larger cap makes readers that stop early
+# (``hitting_times`` reads a prefix until m_Z) compute more draws they
+# never use.
+CHUNK_CAP = 128
 # k -> (sum 2^(128i), sum (i+1)*GOLDEN_GAMMA*2^(128i), sum MASK64*2^(128i))
-# over lanes i < k; filled the first time a block of k lanes is computed,
-# never at import
+# over lanes i < k; filled the first time a block of k <= CHUNK_CAP lanes
+# is computed, never at import, so it stays small whatever lists
+# ``below_list`` is given
 _LANE_CONSTANTS: dict[int, tuple[int, int, int]] = {}
+
+
+def chunk_sizes(count: int | None = None) -> Iterator[int]:
+    """1, 2, 4, ... up to CHUNK_CAP, then CHUNK_CAP on; cut to sum to count if given."""
+    size = 1
+    while count is None or count > 0:
+        if count is not None:
+            size = min(size, count)
+            count -= size
+        yield size
+        size = min(2 * size, CHUNK_CAP)
 
 
 def _lane_constants(k: int) -> tuple[int, int, int]:
@@ -54,39 +73,77 @@ def _lane_constants(k: int) -> tuple[int, int, int]:
         ones = int.from_bytes((b"\1" + bytes(15)) * k, "little")
         ramp = int.from_bytes(b"".join((i * GOLDEN_GAMMA).to_bytes(16, "little")
                                        for i in range(1, k + 1)), "little")
-        consts = _LANE_CONSTANTS[k] = (ones, ramp, ones * MASK64)
+        consts = (ones, ramp, ones * MASK64)
+        if k <= CHUNK_CAP:
+            _LANE_CONSTANTS[k] = consts
     return consts
 
 
 def _block(state: int, k: int) -> list[int]:
-    """The next k outputs and states after ``state``, interleaved.
+    """The next k outputs after ``state``.
 
-    Returns [mix64(s_1), s_1, ..., mix64(s_k), s_k] with
-    s_i = state + i*GOLDEN_GAMMA mod 2^64: the same values as k calls of
-    ``next_u64``, computed on one int of k 128-bit lanes.
+    Returns [mix64(s_1), ..., mix64(s_k)] with s_i = state + i*GOLDEN_GAMMA
+    mod 2^64: the same values as k calls of ``next_u64``, computed on one
+    int of k 128-bit lanes. The state after them is s_k.
     """
     ones, ramp, low = _lane_constants(k)
     states = (state * ones + ramp) & low
     z = ((states ^ (states >> 30)) & low) * _MIX_MUL_1 & low
     z = ((z ^ (z >> 27)) & low) * _MIX_MUL_2 & low
-    # each lane's output in its low half, its state in the high half; the
-    # words of a big-endian cast come out last lane first, state first
-    z = (z ^ (z >> 31)) & low | states << 64
-    words = memoryview(z.to_bytes(16 * k, byteorder)).cast("Q").tolist()
+    z = (z ^ (z >> 31)) & low
+    # each lane's output in its low word; a big-endian cast gives the
+    # words last lane first, high (zero) word first
+    words = memoryview(z.to_bytes(16 * k, byteorder)).cast("Q")
     if byteorder == "big":
-        words.reverse()
-    return words
+        return words[::-2].tolist()
+    return words[::2].tolist()
 
 
-def _blocks(state: int) -> Iterator[Iterator[tuple[int, int]]]:
-    """(output, state) pairs after ``state``, forever, in blocks of 1, 2, 4, ... lanes."""
-    k = 1
-    while True:
-        words = _block(state, k)
-        state = words[-1]
-        it = iter(words)
-        yield zip(it, it)
-        k = min(2 * k, _MAX_LANES)
+def _stream(state: int) -> Iterator[int]:
+    """The outputs after ``state``, forever, from blocks of growing size."""
+    for k in chunk_sizes():
+        yield from _block(state, k)
+        state = (state + k * GOLDEN_GAMMA) & MASK64
+
+
+def _draws(state: int, bounds: Sequence[int]) -> tuple[list[int], Sequence[int]]:
+    """below(b) for each b in bounds, drawn from ``state``.
+
+    Returns the values and, for each draw, how many 64-bit outputs the
+    draws up to and including it used. The one home of the rejection rule:
+    an output z is accepted for bound b iff it lies below
+    2^64 - (2^64 mod b), so that the whole block of b values holding it
+    fits in 64 bits, and the draw is then z mod b; power-of-two bounds
+    always accept. The outputs come from one ``_block`` of len(bounds)
+    lanes. If all of them lie below a threshold that no bound's limit is
+    below (that limit itself when the bounds are equal, else
+    2^64 - max(bounds) + 1), no draw is rejected and draw i takes output
+    i. Otherwise the draws take the rule one at a time, reading further
+    blocks as rejections need them. A bound outside [1, 2^64] raises
+    ValueError before anything is drawn.
+    """
+    if not bounds:
+        return [], []
+    low, top = min(bounds), max(bounds)
+    if low < 1 or top > 1 << 64:
+        bad = next(b for b in bounds if not 0 < b <= 1 << 64)
+        raise ValueError(f"bound must be in [1, 2^64], got {bad}")
+    k = len(bounds)
+    outputs = _block(state, k)
+    if max(outputs) < (1 << 64) - ((1 << 64) % top if low == top else top - 1):
+        return list(map(mod, outputs, bounds)), range(1, k + 1)
+    values, used = [], []
+    outputs = chain(outputs, _stream((state + k * GOLDEN_GAMMA) & MASK64))
+    count = 0
+    for bound in bounds:
+        limit = (1 << 64) - (1 << 64) % bound
+        for z in outputs:
+            count += 1
+            if z < limit:
+                break
+        values.append(z % bound)
+        used.append(count)
+    return values, used
 
 
 class SplitMix64:
@@ -103,34 +160,50 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exactly unbiased (rejection sampling)."""
-        return next(self.below_each((bound,)))
+        return self.below_list((bound,))[0]
+
+    def below_list(self, bounds: Sequence[int]) -> list[int]:
+        """[below(b) for b in bounds], drawn in one call of the kernel ``_draws``.
+
+        The state is written once, after the last draw; a bad bound raises
+        ValueError having drawn nothing.
+        """
+        values, used = _draws(self._state, bounds)
+        if values:
+            self._state = (self._state + used[-1] * GOLDEN_GAMMA) & MASK64
+        return values
 
     def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
         """Yield below(b) for each b in bounds, in order, from this stream.
 
-        The one draw loop. A 64-bit output z gives r = z % bound and is
-        accepted iff the whole block of bound values holding z fits below
-        2^64 (z - r <= 2^64 - bound); power-of-two bounds always accept.
-        Outputs come from a buffer that ``_block`` fills 1, 2, 4, ... up to
-        1,024 at a time. The state is written back after every draw, and
-        the buffer is dropped when the state changed between two draws, so
-        other draws on this generator may interleave.
+        The lazy, per-draw view of ``_draws``: bounds are read in chunks
+        of 1, 2, 4, ... up to CHUNK_CAP and each chunk is drawn in one
+        call, but the state is written back after every draw, so an
+        abandoned iterator leaves the state after the last draw it
+        yielded. When the state changed between two draws, the rest of the
+        chunk is drawn again from the new state, so other draws on this
+        generator may interleave. A bound outside [1, 2^64] raises
+        ValueError at its own draw, which consumes nothing.
         """
-        state = self._state
-        pairs = chain.from_iterable(_blocks(state))
-        for bound in bounds:
-            if not 0 < bound <= 1 << 64:
-                raise ValueError(f"bound must be in [1, 2^64], got {bound}")
-            ceiling = (1 << 64) - bound
-            if state != self._state:
-                state = self._state
-                pairs = chain.from_iterable(_blocks(state))
-            for z, state in pairs:
-                r = z % bound
-                if z - r <= ceiling:
-                    break
-            self._state = state
-            yield r
+        bounds = iter(bounds)
+        for size in chunk_sizes():
+            chunk = list(islice(bounds, size))
+            if not chunk:
+                return
+            while chunk:
+                start = self._state
+                try:
+                    values, used = _draws(start, chunk)
+                except ValueError:
+                    # a bound in the chunk is bad: draw one at a time up
+                    # to it, so it raises at its own draw
+                    values, used = _draws(start, chunk[:1])
+                for i, count in enumerate(used):
+                    self._state = state = (start + count * GOLDEN_GAMMA) & MASK64
+                    yield values[i]
+                    if self._state != state:
+                        break
+                chunk = chunk[i + 1:]
 
     def unit(self) -> float:
         """Float in [0, 1) with 53-bit resolution."""

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -16,7 +17,14 @@ from arborsim.process import (
     round_half_up,
     sample_dnp,
 )
-from arborsim.rng import COLOUR_STREAM, PRESENCE_STREAM, SplitMix64, derive_stream_seed
+from arborsim.rng import (
+    COLOUR_STREAM,
+    EDGE_STREAM,
+    PRESENCE_STREAM,
+    SplitMix64,
+    chunk_sizes,
+    derive_stream_seed,
+)
 
 CHI2_CRIT_5DF_999 = 20.515  # chi-square critical value, 5 df, significance 0.001
 
@@ -86,6 +94,21 @@ def test_trace_exports_match_golden_digests():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == ref["sha256"], ref
 
 
+def per_draw_prefix(config: ProcessConfig, m: int) -> list[tuple[int, int, int]]:
+    """The first m coloured edges with one below() per draw: Fisher-Yates on a full list."""
+    n, w = config.n, config.resolved_colour_count
+    total = n * (n - 1)
+    pair_rng = SplitMix64(derive_stream_seed(config.master_seed, EDGE_STREAM))
+    colour_rng = SplitMix64(derive_stream_seed(config.master_seed, COLOUR_STREAM))
+    order = list(range(total))
+    edges = []
+    for k in range(m):
+        j = k + pair_rng.below(total - k)
+        order[k], order[j] = order[j], order[k]
+        edges.append((*pair_from_index(n, order[k]), colour_rng.below(w)))
+    return edges
+
+
 def test_prefix_streams_agree_with_materialize():
     trace = generate_trace(ProcessConfig(5, 9, 77))
     edges = trace.materialize()
@@ -94,6 +117,24 @@ def test_prefix_streams_agree_with_materialize():
     assert list(trace.prefix_colours(7)) == [e.colour for e in edges[:7]]
     with pytest.raises(ValueError):
         list(trace.prefix(21))
+    for m in (-1, 21):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            trace.export(buf, m)
+        assert buf.getvalue() == ""  # not even the header
+    # m = 0, 1, N and each chunk size and chunk end +- 1, against one
+    # below() per draw; W = 2^63 + 1 rejects about half its colour draws
+    for config in (ProcessConfig(30, 29, 30), ProcessConfig(30, 2**63 + 1, 31)):
+        trace = generate_trace(config)
+        total = trace.total_edges
+        ref = per_draw_prefix(config, total)
+        sizes = list(chunk_sizes(total))
+        lengths = {0, 1, total} | {
+            m + d for m in sizes + list(accumulate(sizes)) for d in (-1, 0, 1) if 0 <= m + d <= total}
+        for m in sorted(lengths):
+            assert list(trace.prefix(m)) == ref[:m], (config, m)
+            assert list(trace.prefix_pairs(m)) == [e[:2] for e in ref[:m]], (config, m)
+            assert list(trace.prefix_colours(m)) == [e[2] for e in ref[:m]], (config, m)
 
 
 def test_prefix_longer_than_sys_maxsize_streams():

@@ -81,6 +81,22 @@ def test_below_each_equals_below_draw_by_draw():
         ref = SplitMix64(seed)
         assert each == [below_reference(ref, b) for b in bounds]
         assert one.next_u64() == ref.next_u64()
+    # below_list on every length from 0 past two 1,024-draw blocks, and for
+    # single bounds on lengths at chunk and block edges: 1000 takes the
+    # bulk path, 2^64 only through its exact test, and 2^63 + 1 rejects
+    # about half its tries, as mixed bounds do on most lists
+    edges = [*range(260), 383, 384, 385, 1023, 1024, 1025, 2047, 2048, 2049, 2100]
+    for bounds, lengths in ((MIXED_BOUNDS * 230, range(2071)), ([1000] * 2100, edges),
+                            ([2**64] * 2100, edges), ([2**63 + 1] * 2100, edges)):
+        ref = SplitMix64(MASK64)
+        expected, states = [], [ref._state]
+        for b in bounds:
+            expected.append(below_reference(ref, b))
+            states.append(ref._state)
+        for length in lengths:
+            rng = SplitMix64(MASK64)
+            assert rng.below_list(bounds[:length]) == expected[:length], (bounds[0], length)
+            assert rng._state == states[length], (bounds[0], length)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2**64 + 1])
@@ -116,10 +132,7 @@ def test_block_equals_scalar_steps():
     for k in [2**i for i in range(11)] + [3, 1000]:
         for state in WRAP_STATES + [0x0123456789ABCDEF]:
             rng = SplitMix64(state)
-            expected = []
-            for _ in range(k):
-                expected += [rng.next_u64(), rng._state]
-            assert _block(state, k) == expected, (k, state)
+            assert _block(state, k) == [rng.next_u64() for _ in range(k)], (k, state)
 
 
 def test_abandoned_below_each_leaves_the_drawn_state():
