@@ -81,10 +81,11 @@ def test_below_each_equals_below_draw_by_draw():
         ref = SplitMix64(seed)
         assert each == [below_reference(ref, b) for b in bounds]
         assert one.next_u64() == ref.next_u64()
-    # below_list on every length from 0 past two 1,024-draw blocks, and for
-    # single bounds on lengths at chunk and block edges: 1000 takes the
-    # bulk path, 2^64 only through its exact test, and 2^63 + 1 rejects
-    # about half its tries, as mixed bounds do on most lists
+    # below_list on every length from 0 to past 2,048, and for single
+    # bounds on lengths at chunk and block edges: 1000 and 2^64 take the
+    # bulk path (2^64 only because equal bounds are tested against their
+    # own limit), and 2^63 + 1 rejects about half its tries, as mixed
+    # bounds do on most lists
     edges = [*range(260), 383, 384, 385, 1023, 1024, 1025, 2047, 2048, 2049, 2100]
     for bounds, lengths in ((MIXED_BOUNDS * 230, range(2071)), ([1000] * 2100, edges),
                             ([2**64] * 2100, edges), ([2**63 + 1] * 2100, edges)):
