@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -10,6 +13,16 @@ from arborsim.mappings import (
     sample_mapping,
 )
 from arborsim.rng import SplitMix64
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_sample_mapping_matches_golden_digests():
+    # SHA-256 of the comma-joined in-neighbours; n = 129 and 256 end one
+    # past and exactly at a draw-chunk boundary (1 + 2 + ... + 128 = 255)
+    for ref in json.loads((GOLDEN / "streams.json").read_text())["sample_mapping"]:
+        in_nbr = sample_mapping(ref["n"], ref["loopless"], ref["seed"]).in_nbr
+        assert hashlib.sha256(",".join(map(str, in_nbr)).encode()).hexdigest() == ref["sha256"], ref
 
 
 def assert_valid_decomposition(m, comps):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 from itertools import islice, repeat
@@ -190,6 +191,17 @@ def test_sample_distinct():
         assert len(out) == len(set(out)) == k
         assert all(0 <= v < 20 for v in out)
     assert sorted(rng.sample_distinct(5, 5)) == list(range(5))
+
+
+def test_sample_distinct_matches_golden_digests():
+    # SHA-256 of the comma-joined sample, and the stream's next output
+    # after it; k runs over 0, 1, the population and draw-chunk ends +- 1,
+    # and population 2^63 + 1 rejects about half its first draws
+    for ref in json.loads((GOLDEN / "streams.json").read_text())["sample_distinct"]:
+        rng = SplitMix64(ref["seed"])
+        out = rng.sample_distinct(ref["population"], ref["k"])
+        assert hashlib.sha256(",".join(map(str, out)).encode()).hexdigest() == ref["sha256"], ref
+        assert f"0x{rng.next_u64():016x}" == ref["next_u64_after"], ref
 
 
 def test_derive_trial_seed_deterministic_and_collision_free():
