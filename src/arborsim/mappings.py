@@ -8,11 +8,10 @@ forward closure of an initially infected set along those edges.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 from arborsim.digraph import _zeros, forward_closure
-from arborsim.rng import MAPPING_STREAM, SplitMix64, derive_stream_seed
+from arborsim.rng import MAPPING_STREAM, below_stream, derive_stream_seed
 
 
 class RandomMapping(NamedTuple):
@@ -36,8 +35,8 @@ def sample_mapping(n: int, loopless: bool = False, seed: int = 0) -> RandomMappi
     # allocated before the first draw, so an n that memory cannot hold is a
     # ValueError at once rather than a list growing until the process dies
     in_nbr = _zeros(n, "mapping size n")
-    rng = SplitMix64(derive_stream_seed(seed, MAPPING_STREAM))
-    for v, u in enumerate(rng.below_each(repeat(n - 1 if loopless else n, n))):
+    draws = below_stream(derive_stream_seed(seed, MAPPING_STREAM), n - 1 if loopless else n, n)
+    for v, u in enumerate(draws):
         in_nbr[v] = u + 1 if loopless and u >= v else u
     return RandomMapping(n, in_nbr, loopless)
 

@@ -11,7 +11,6 @@ edges: every read of a prefix streams it afresh.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import IO, Iterator, NamedTuple
 
 from arborsim import edgelist
@@ -21,6 +20,7 @@ from arborsim.rng import (
     EDGE_STREAM,
     PRESENCE_STREAM,
     SplitMix64,
+    below_stream,
     chunk_sizes,
     derive_stream_seed,
 )
@@ -73,13 +73,6 @@ class ProcessConfig(_ProcessFields):
         return self.colour_count  # type: ignore[return-value]
 
 
-def _colour_draws(colour_seed: int, colour_count: int, m: int | None = None) -> Iterator[int]:
-    """A colour stream: m uniform colours (unending for None), drawn in chunks."""
-    rng = SplitMix64(colour_seed)
-    w = [colour_count]
-    return chain.from_iterable(rng.below_list(w * size) for size in chunk_sizes(m))
-
-
 def pair_from_index(n: int, k: int) -> tuple[int, int]:
     """Ordered pair number k in [0, n(n-1)): tails in blocks, heads skip the tail."""
     tail, off = divmod(k, n - 1)
@@ -127,12 +120,12 @@ class ProcessTrace:
     def prefix_colours(self, m: int) -> Iterator[int]:
         """First m colours (one per process step), edge stream untouched."""
         self._check_length(m)
-        yield from _colour_draws(self._colour_seed, self.colour_count, m)
+        yield from below_stream(self._colour_seed, self.colour_count, m)
 
     def prefix(self, m: int) -> Iterator[ColouredEdge]:
         """First m coloured edges: prefix_pairs zipped with the colour draws."""
         new = tuple.__new__  # skips the Python-level ColouredEdge.__new__ call
-        colours = _colour_draws(self._colour_seed, self.colour_count, m)
+        colours = below_stream(self._colour_seed, self.colour_count, m)
         for (tail, head), colour in zip(self.prefix_pairs(m), colours):
             yield new(ColouredEdge, (tail, head, colour))
 
@@ -169,7 +162,7 @@ def sample_dnp(n: int, p: float, colour_count: int, seed: int) -> ColouredDigrap
     if n == 1 or p == 0.0:
         return g
     total = n * (n - 1)
-    colours = _colour_draws(derive_stream_seed(seed, COLOUR_STREAM), colour_count)
+    colours = below_stream(derive_stream_seed(seed, COLOUR_STREAM), colour_count)
     if p == 1.0:
         for k, colour in zip(range(total), colours):
             tail, head = pair_from_index(n, k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Iterable
-from itertools import product, repeat
+from itertools import product
 from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
@@ -22,7 +22,7 @@ from arborsim.matching import (
     build_colour_bigraph,
     find_colour_assignment,
 )
-from arborsim.rng import LOCAL_SEARCH_STREAM, SplitMix64, derive_stream_seed
+from arborsim.rng import LOCAL_SEARCH_STREAM, below_stream, derive_stream_seed
 
 # The decision modes of decide; hitting_times and the CLI take the same names.
 MODES = ("oracle", "exact", "heuristic", "auto")
@@ -608,7 +608,7 @@ def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | No
             for v in vs:
                 mark(v)
     # Full 64-bit draws, scaled to [0, k) by k * z >> 64.
-    draws = SplitMix64(_LOCAL_SEARCH_SEED).below_each(repeat(1 << 64))
+    draws = below_stream(_LOCAL_SEARCH_SEED, 1 << 64)
     steps = _LOCAL_SEARCH_STEPS * n
     while conflicted:
         if not steps:

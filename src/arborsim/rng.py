@@ -4,10 +4,13 @@ Everything downstream (traces, samplers, experiments) draws from SplitMix64
 streams, so every run is reproducible from a single 64-bit seed and the
 generator is trivial to port to other languages. Bounded draws all run
 through one kernel, ``_draws``, the one home of the rejection rule, which
-draws a whole list of bounds per call. ``SplitMix64.below_list`` is that
-kernel on the generator's state, and trace prefixes draw from it in
-chunks of 1, 2, 4, ... up to ``CHUNK_CAP`` = 128 (``chunk_sizes``);
-``below_each`` is its lazy, per-draw view, and ``below`` takes one draw.
+draws a whole list of bounds per call and reads the bounds of a ``range``
+from its two ends. ``SplitMix64.below_list`` is that kernel on the
+generator's state, and every bounded stream draws from it in chunks of 1,
+2, 4, ... up to ``CHUNK_CAP`` = 128 (``chunk_sizes``): ``below_stream``
+for draws that share one bound, and the Fisher-Yates loops of
+``sample_distinct`` and trace prefixes over ``range`` chunks of falling
+bounds. ``below`` takes one draw.
 ``_block`` computes k ``mix64`` outputs at once: the states sit in k
 128-bit lanes of one int, each finaliser step runs on the whole int, and
 every lane is masked back to 64 bits after each step, so a 64 x 64-bit
@@ -15,15 +18,15 @@ product never carries into the next lane. ``mix64`` and ``next_u64`` are
 scalar: they define the stream, and the tests check the kernels against
 them. The constants below are fixed for all releases; the test suite pins
 a golden table of derived seeds and one of raw outputs, rejection-path
-draws and trace digests.
+draws, sampler outputs and trace digests.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from operator import mod
 from sys import byteorder
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 
@@ -120,14 +123,18 @@ def _draws(state: int, bounds: Sequence[int]) -> tuple[list[int], Sequence[int]]
     2^64 - max(bounds) + 1), no draw is rejected and draw i takes output
     i. Otherwise the draws take the rule one at a time, reading further
     blocks as rejections need them. A bound outside [1, 2^64] raises
-    ValueError before anything is drawn.
+    ValueError before anything is drawn, naming the smallest bound if it
+    is below 1, else the largest. The least and greatest bounds of a
+    ``range`` are its two ends, read without walking it.
     """
     if not bounds:
         return [], []
-    low, top = min(bounds), max(bounds)
+    if isinstance(bounds, range):
+        low, top = sorted((bounds[0], bounds[-1]))
+    else:
+        low, top = min(bounds), max(bounds)
     if low < 1 or top > 1 << 64:
-        bad = next(b for b in bounds if not 0 < b <= 1 << 64)
-        raise ValueError(f"bound must be in [1, 2^64], got {bad}")
+        raise ValueError(f"bound must be in [1, 2^64], got {low if low < 1 else top}")
     k = len(bounds)
     outputs = _block(state, k)
     if max(outputs) < (1 << 64) - ((1 << 64) % top if low == top else top - 1):
@@ -173,38 +180,6 @@ class SplitMix64:
             self._state = (self._state + used[-1] * GOLDEN_GAMMA) & MASK64
         return values
 
-    def below_each(self, bounds: Iterable[int]) -> Iterator[int]:
-        """Yield below(b) for each b in bounds, in order, from this stream.
-
-        The lazy, per-draw view of ``_draws``: bounds are read in chunks
-        of 1, 2, 4, ... up to CHUNK_CAP and each chunk is drawn in one
-        call, but the state is written back after every draw, so an
-        abandoned iterator leaves the state after the last draw it
-        yielded. When the state changed between two draws, the rest of the
-        chunk is drawn again from the new state, so other draws on this
-        generator may interleave. A bound outside [1, 2^64] raises
-        ValueError at its own draw, which consumes nothing.
-        """
-        bounds = iter(bounds)
-        for size in chunk_sizes():
-            chunk = list(islice(bounds, size))
-            if not chunk:
-                return
-            while chunk:
-                start = self._state
-                try:
-                    values, used = _draws(start, chunk)
-                except ValueError:
-                    # a bound in the chunk is bad: draw one at a time up
-                    # to it, so it raises at its own draw
-                    values, used = _draws(start, chunk[:1])
-                for i, count in enumerate(used):
-                    self._state = state = (start + count * GOLDEN_GAMMA) & MASK64
-                    yield values[i]
-                    if self._state != state:
-                        break
-                chunk = chunk[i + 1:]
-
     def unit(self) -> float:
         """Float in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
@@ -217,18 +192,30 @@ class SplitMix64:
         """k distinct integers from [0, population), uniform over k-subsets.
 
         Partial Fisher-Yates on a sparse map, so memory is O(k) even for
-        large populations.
+        large populations, run over ``below_list`` chunks of draws
+        (``chunk_sizes``): step i swaps slot i with slot i + below(population - i).
         """
         if not 0 <= k <= population:
             raise ValueError(f"need 0 <= k <= population, got k={k}, population={population}")
         swapped: dict[int, int] = {}
         out = []
-        for i, r in enumerate(self.below_each(range(population, population - k, -1))):
-            j = i + r
-            vj = swapped.get(j, j)
-            swapped[j] = swapped.pop(i, i)
-            out.append(vj)
+        start = 0
+        for size in chunk_sizes(k):
+            draws = self.below_list(range(population - start, population - start - size, -1))
+            for i, r in zip(range(start, start + size), draws):
+                j = i + r
+                vj = swapped.get(j, j)
+                swapped[j] = swapped.pop(i, i)
+                out.append(vj)
+            start += size
         return out
+
+
+def below_stream(seed: int, bound: int, count: int | None = None) -> Iterator[int]:
+    """count draws below(bound) (unending for None) from SplitMix64(seed), in chunks."""
+    rng = SplitMix64(seed)
+    bounds = [bound]
+    return chain.from_iterable(rng.below_list(bounds * size) for size in chunk_sizes(count))
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:

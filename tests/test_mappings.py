@@ -22,7 +22,8 @@ def test_sample_mapping_matches_golden_digests():
     # past and exactly at a draw-chunk boundary (1 + 2 + ... + 128 = 255)
     for ref in json.loads((GOLDEN / "streams.json").read_text())["sample_mapping"]:
         in_nbr = sample_mapping(ref["n"], ref["loopless"], ref["seed"]).in_nbr
-        assert hashlib.sha256(",".join(map(str, in_nbr)).encode()).hexdigest() == ref["sha256"], ref
+        digest = hashlib.sha256(",".join(map(str, in_nbr)).encode()).hexdigest()
+        assert digest == ref["sha256"], ref
 
 
 def assert_valid_decomposition(m, comps):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import pathlib
-from itertools import islice, repeat
 
 import pytest
 
@@ -73,14 +72,12 @@ def below_reference(rng, bound):
 MIXED_BOUNDS = [1, 2, 3, 5, 2**10, 3 * 2**62, 2**63 + 1, 2**64 - 1, 2**64]
 
 
-def test_below_each_equals_below_draw_by_draw():
+def test_below_list_equals_below_draw_by_draw():
     bounds = MIXED_BOUNDS * 40
     for seed in (0, 7, 2718):
-        each = list(SplitMix64(seed).below_each(bounds))
         one = SplitMix64(seed)
-        assert each == [one.below(b) for b in bounds]
         ref = SplitMix64(seed)
-        assert each == [below_reference(ref, b) for b in bounds]
+        assert [one.below(b) for b in bounds] == [below_reference(ref, b) for b in bounds]
         assert one.next_u64() == ref.next_u64()
     # below_list on every length from 0 to past 2,048, and for single
     # bounds on lengths at chunk and block edges: 1000 and 2^64 take the
@@ -101,27 +98,48 @@ def test_below_each_equals_below_draw_by_draw():
             assert rng._state == states[length], (bounds[0], length)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2**64 + 1])
-def test_below_each_rejects_a_bad_bound_at_its_draw(bad):
+# 0 to 4, and each side of the block sizes 8, 64, 128 (CHUNK_CAP) and 256
+RANGE_LENGTHS = [0, 1, 2, 3, 4, 7, 8, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+def test_below_list_reads_a_range_as_its_list():
+    # a range's least and greatest bounds come from its ends, so the draws
+    # and the state after must equal those of the same bounds as a list.
+    # Bounds just above 2^63 reject about half their tries, small ones and
+    # those near 2^64 almost never; in the last two ranges one bound just
+    # above 2^63 sits among bounds that rarely reject, so taking the wrong
+    # end for the greatest would skip its rejections
+    starts = {-1: [2**64, 2**63 + 300, 1000], 1: [1, 2**63 + 1, 2**64 - 300],
+              -3: [2**64, 2**63 + 900, 1000]}
+    ranges = [range(first, first + step * length, step)
+              for step, firsts in starts.items() for first in firsts for length in RANGE_LENGTHS]
+    ranges += [range(1, 2**64, 2**61), range(2**63 + 1, 0, -2**61)]
+    for bounds in ranges:
+        for seed in (5, MASK64):
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            assert a.below_list(bounds) == b.below_list(list(bounds)), (bounds, seed)
+            assert a._state == b._state, (bounds, seed)
+    for bound in MIXED_BOUNDS:
+        for single in (range(bound, bound + 1), range(bound, bound - 1, -1)):
+            a, b = SplitMix64(3), SplitMix64(3)
+            assert a.below_list(single) == [b.below(bound)] and a._state == b._state, single
+
+
+@pytest.mark.parametrize("bounds, bad", [
+    (range(0, 5), 0),
+    (range(2**64 + 1, 2**64 - 3, -1), 2**64 + 1),
+    # 2^64 + 1 bounds: walking them for the least would not finish
+    (range(1, 2**64 + 2), 2**64 + 1),
+    ([6, 2**63 + 1, 0, 6], 0),
+    ([6, 2**63 + 1, -1, 6], -1),
+    ([6, 2**63 + 1, 2**64 + 1, 6], 2**64 + 1),
+], ids=["range-from-0", "range-from-2^64+1", "range-to-2^64+1",
+        "list-0", "list--1", "list-2^64+1"])
+def test_below_list_rejects_a_bad_bound_having_drawn_nothing(bounds, bad):
     rng = SplitMix64(5)
-    it = rng.below_each([6, 2**63 + 1, bad, 6])
-    ref = SplitMix64(5)
-    assert [next(it), next(it)] == [ref.below(6), ref.below(2**63 + 1)]
-    with pytest.raises(ValueError):
-        next(it)
-    # the bad draw consumed nothing
-    assert rng.next_u64() == ref.next_u64()
-
-
-def test_below_after_partial_below_each_continues_the_stream():
-    expected = list(SplitMix64(9).below_each(repeat(1000, 7)))
-    rng = SplitMix64(9)
-    it = rng.below_each(repeat(1000, 6))
-    assert list(islice(it, 2)) == expected[:2]
-    assert rng.below(1000) == expected[2]
-    # resuming the iterator picks up after the interleaved draw: its last
-    # four draws are the stream's fourth to seventh
-    assert list(it) == expected[3:]
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        rng.below_list(bounds)
+    assert rng.next_u64() == SplitMix64(5).next_u64()
 
 
 # states at and next to the 2^64 wrap-around: from the last three, the
@@ -137,33 +155,16 @@ def test_block_equals_scalar_steps():
             assert _block(state, k) == [rng.next_u64() for _ in range(k)], (k, state)
 
 
-def test_abandoned_below_each_leaves_the_drawn_state():
-    # the buffer runs ahead of the draws, but the generator's state must
-    # stand after the last draw taken, wherever the iterator is dropped
-    bounds = MIXED_BOUNDS * 240
-    for seed in (3, MASK64):
-        ref = SplitMix64(seed)
-        states = [ref._state]
-        for b in bounds[:2100]:
-            below_reference(ref, b)
-            states.append(ref._state)
-        for taken, state in enumerate(states):
-            rng = SplitMix64(seed)
-            it = rng.below_each(bounds)
-            assert len(list(islice(it, taken))) == taken
-            del it
-            assert rng._state == state, (seed, taken)
-
-
 @pytest.mark.parametrize("at", [1, 2, 3, 1023, 1024, 1025, 2047, 2048])
 def test_draws_interleaved_at_block_boundaries(at):
+    # below_list writes the state once, after its last draw, so scalar
+    # draws and a further list continue the stream wherever a list ends
     bounds = MIXED_BOUNDS * 250
     for seed in (11, -GOLDEN_GAMMA & MASK64):
         rng = SplitMix64(seed)
-        it = rng.below_each(bounds)
-        got = list(islice(it, at))
+        got = rng.below_list(bounds[:at])
         got += [rng.below(1000), rng.next_u64(), rng.below(2**63 + 1), rng.next_u64()]
-        got += list(islice(it, 1100)) + [rng.next_u64()]
+        got += rng.below_list(bounds[at:at + 1100]) + [rng.next_u64()]
         ref = SplitMix64(seed)
         expected = [below_reference(ref, b) for b in bounds[:at]]
         expected += [below_reference(ref, 1000), ref.next_u64(),
