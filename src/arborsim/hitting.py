@@ -105,8 +105,9 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     decisions cannot drive a sound search. Auto and exact stop on
     success, since a verified certificate at the lower bound m_Z is exact;
     else auto, exact and oracle gallop from max(m_A, m_C) with their own
-    solver, the budget applying per rainbow decision. Oracle, the
-    brute-force reference, always searches.
+    solver, the budget applying per rainbow decision; auto probes m_Z in
+    exact mode, as the constructor has just failed there from the only
+    possible root. Oracle, the brute-force reference, always searches.
     """
     if r_mode not in MODES:
         raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {MODES}")
@@ -159,9 +160,9 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     if at_z and r_mode in ("auto", "exact"):  # a verified certificate at the lower bound
         return HittingTimes(m_c, m_z, m_a, m_z, "exact", True)
 
-    try:
-        m_r = gallop(max(m_a, m_c), total,
-                     lambda m: event_holds(graph(m), "R", r_mode, budget_s))
+    try:  # at m_Z the constructor has just failed, so auto probes as exact
+        m_r = gallop(max(m_a, m_c), total, lambda m: event_holds(
+            graph(m), "R", "exact" if m == m_z and r_mode == "auto" else r_mode, budget_s))
     except BudgetExceededError:
         return HittingTimes(m_c, m_z, m_a, None, "unknown", at_z)
     return HittingTimes(m_c, m_z, m_a, m_r, "exact", at_z)

@@ -45,7 +45,7 @@ class HeuristicOutcome(NamedTuple):
     """A heuristic attempt: a verified certificate, or why none was built.
 
     failure_reason is None on success, else "no injective colour
-    assignment" or "unrepairable components" (see _attach_construct).
+    assignment", "root does not span" or "step schedule exhausted".
     """
 
     certificate: ArborescenceCertificate | None
@@ -475,102 +475,39 @@ def decide_exact(
     return None
 
 
-def _attach(inside: set[int], in_edges, f: dict[int, int], blocked: set[int],
-            chosen: dict[int, ColouredEdge], children: list[list[int]]) -> None:
-    """Grow the root's component `inside` by passes until one adds nothing.
-
-    A pass visits the outside vertices in ascending order. Vertex v takes
-    the first edge of in_edges[v] whose tail is inside and whose colour is
-    f(v) or a spare colour not in `blocked`, which it then blocks; v
-    brings its `children` subtree inside with it.
-    """
-    n = len(children)
-    progress = True
-    while progress and len(inside) < n:
-        progress = False
-        for v in range(n):
-            if v in inside:
-                continue
-            for e in in_edges[v]:
-                if e.tail in inside and (e.colour == f[v] or e.colour not in blocked):
-                    chosen[v] = e
-                    blocked.add(e.colour)
-                    stack = [v]
-                    while stack:
-                        u = stack.pop()
-                        if u not in inside:
-                            inside.add(u)
-                            stack.extend(children[u])
-                    progress = True
-                    break
-
-
-def _attach_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
-    """The attach construction, heuristic_construct's fallback after local search.
-
-    It finds an injective colour assignment f on V \\ {root}; the colours
-    outside f's image are spare. Then one attach rule (_attach) grows the
-    root's component, run twice: an outside vertex takes its first in-edge
-    from inside whose colour is f(v) or an unspent spare, and brings the
-    vertices hanging below it along. The first run offers each vertex only
-    its f(v)-coloured in-edges. Each vertex still outside then hangs on its
-    first f(v)-coloured in-edge, which leaves unicyclic components outside
-    the root's. The second run offers every in-edge: a vertex that attaches
-    brings its subtree across, and a cycle vertex its whole component (the
-    cycle breaks there). Success returns a verified certificate; failure
-    proves nothing. It fails with "no injective colour assignment" when f
-    does not exist, and with "unrepairable components" when the second run
-    leaves some vertex outside.
-    """
-    assignment = find_colour_assignment(build_colour_bigraph(g), root)
-    if assignment is None:
-        return HeuristicOutcome(None, failure_reason="no injective colour assignment")
-    f = assignment.mapping
-    own = {v: [e for e in g.in_edges[v] if e.colour == f[v]] for v in f}
-    blocked = set(f.values())  # f's image, then every spare colour spent
-    chosen: dict[int, ColouredEdge] = {}
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    inside = {root}
-    _attach(inside, own, f, blocked, chosen, children)
-    for v in f:
-        if v not in inside:
-            chosen[v] = own[v][0]
-            children[own[v][0].tail].append(v)
-    _attach(inside, g.in_edges, f, blocked, chosen, children)
-    if len(inside) < g.n:
-        return HeuristicOutcome(None, failure_reason="unrepairable components")
-    return HeuristicOutcome(_verified(g, ArborescenceCertificate(root, chosen), "heuristic"))
-
-
-# Local search gives up after this many steps per vertex; a step count, so
-# its answers never depend on the machine's speed.
-_LOCAL_SEARCH_STEPS = 10
+# The constructor's step schedule: run k of local search gives up after
+# _LOCAL_SEARCH_STEPS[k] * n steps, so answers never depend on the
+# machine's speed.
+_LOCAL_SEARCH_STEPS = (40, 40, 40, 40)
 # One step in this many takes a random move instead of a least-conflict one.
 _LOCAL_SEARCH_NOISE = 5
-_LOCAL_SEARCH_SEED = derive_stream_seed(0, LOCAL_SEARCH_STREAM)
 
 
-def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | None:
-    """Min-conflicts repair of a spanning out-tree into a rainbow one, or None.
+def _local_search(g: ColouredDigraph, root: int, run: int = 0) -> HeuristicOutcome | None:
+    """Run `run` of the min-conflicts repair of a spanning out-tree into a rainbow one.
 
     The state is one parent edge per non-root vertex, always a spanning
-    arborescence, starting from the root's BFS out-tree over g.out_edges; a
-    vertex is conflicted while another vertex's parent edge has its colour.
-    Each step picks a conflicted vertex v uniformly (Minton, Johnston,
-    Philips and Laird 1992). Its moves are its other in-edges whose tail is
-    not in v's subtree, which a walk up the tail's parent chain tests. One
+    arborescence, starting from the root's BFS out-tree over g.out_edges;
+    a vertex is conflicted while another vertex's parent edge has its
+    colour. Each step picks a conflicted vertex v uniformly (Minton,
+    Johnston, Philips and Laird 1992). Its moves are its other in-edges
+    whose tail is not in v's subtree, which a walk up the tail's parent
+    chain tests. When v has none but some such tail lies in its subtree,
+    every run after run 0 moves instead a random vertex of the tree paths
+    from those tails up to v, which can free one of those in-edges; a
+    chosen vertex stuck the same way passes the step further down. One
     step in _LOCAL_SEARCH_NOISE takes a random move, as WalkSAT does
     (Selman, Kautz and Cohen 1994); the others take a random one of the
     moves to a colour no vertex holds, which lower the conflict count, or
     any move when there is none. The holders of each colour and the
     conflicted vertices, in a list with each vertex's slot in it, are
-    updated per move, so a step costs the in-degree of v times the depth of
-    the tree. Draws come from one fixed SplitMix64 substream, so the same
-    graph and root give the same answer. Every parent edge is one of g's
-    own edge objects, so the certificate is made of them. It stops with a
-    verified certificate when nothing is conflicted, or with None when the
-    root reaches too few vertices or _LOCAL_SEARCH_STEPS * n steps have
-    run.
+    updated per move, so a step costs the in-degree of v times the depth
+    of the tree. Draws come from SplitMix64 substream `run` of
+    LOCAL_SEARCH_STREAM, so the same graph, root and run give the same
+    answer. Every parent edge is one of g's own edge objects, so the
+    certificate is made of them. It returns a verified certificate when
+    nothing is conflicted, the failure "root does not span" when the BFS
+    tree misses a vertex, or None after _LOCAL_SEARCH_STEPS[run] * n steps.
     """
     n = g.n
     par = [-1] * n  # v's parent, for the walks up the tree
@@ -585,7 +522,7 @@ def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | No
                 edge[h] = e
                 tree.append(h)
     if len(tree) < n:
-        return None
+        return HeuristicOutcome(None, failure_reason="root does not span")
     holders: dict[int, list[int]] = {}  # colour -> the vertices it enters; never empty
     for v in tree[1:]:
         holders.setdefault(edge[v][2], []).append(v)
@@ -608,64 +545,81 @@ def _local_search(g: ColouredDigraph, root: int) -> ArborescenceCertificate | No
             for v in vs:
                 mark(v)
     # Full 64-bit draws, scaled to [0, k) by k * z >> 64.
-    draws = below_stream(_LOCAL_SEARCH_SEED, 1 << 64)
-    steps = _LOCAL_SEARCH_STEPS * n
+    draws = below_stream(derive_stream_seed(run, LOCAL_SEARCH_STREAM), 1 << 64)
+    steps = _LOCAL_SEARCH_STEPS[run] * n
     while conflicted:
         if not steps:
             return None
         steps -= 1
         v = conflicted[next(draws) * len(conflicted) >> 64]
-        moves = []
-        for e in g.in_edges[v]:
-            u = e[0]
-            if u == par[v]:
-                continue
-            while u != root and u != v:
-                u = par[u]
-            if u == root:
-                moves.append(e)
+        while True:
+            moves = []
+            stuck = []  # the tree paths up to v from the tails in its subtree
+            for e in g.in_edges[v]:
+                u = e[0]
+                if u == par[v]:
+                    continue
+                while u != root and u != v:
+                    u = par[u]
+                if u == root:
+                    moves.append(e)
+                elif run:
+                    u = e[0]
+                    while u != v:
+                        stuck.append(u)
+                        u = par[u]
+            if moves or not stuck:
+                break
+            v = stuck[next(draws) * len(stuck) >> 64]
         if not moves:
             continue
         if next(draws) * _LOCAL_SEARCH_NOISE >> 64:
             moves = [e for e in moves if e[2] not in holders] or moves
         e = moves[next(draws) * len(moves) >> 64]
-        vs = holders[edge[v][2]]  # v is conflicted, so vs keeps another vertex
+        vs = holders[edge[v][2]]
         vs.remove(v)
-        if len(vs) == 1:
+        if not vs:  # v held its colour alone
+            del holders[edge[v][2]]
+        elif len(vs) == 1:
             unmark(vs[0])
         par[v] = e[0]
         edge[v] = e
         vs = holders.setdefault(e[2], [])
         vs.append(v)
-        if len(vs) == 1:
-            unmark(v)
-        elif len(vs) == 2:
+        if len(vs) == 2:
             mark(vs[0])
+        if len(vs) == 1 and slot[v] >= 0:
+            unmark(v)
+        elif len(vs) > 1 and slot[v] < 0:
+            mark(v)
     parent_edge = {v: edge[v] for v in tree[1:]}
-    return _verified(g, ArborescenceCertificate(root, parent_edge), "local search")
+    return HeuristicOutcome(_verified(g, ArborescenceCertificate(root, parent_edge), "local search"))
 
 
 def heuristic_construct(g: ColouredDigraph, root: int) -> HeuristicOutcome:
     """One-sided constructive attempt, fast at process scale.
 
-    First one look over the non-root vertices of in-degree at most 1
-    tests Hall's condition on sets of one or two of them: a vertex with no
-    in-edge, or two whose only in-edges share a colour, leave V \\ {root}
-    no injective colour assignment, so no rainbow arborescence, and the
-    answer is attach's failure reason at once. Otherwise local search
-    (_local_search) runs. When it gives up, the attach construction
-    (_attach_construct) runs, and its certificate or failure reason is the
-    answer, so this never misses a certificate that attach alone would
-    build. Success returns a verified certificate; failure proves nothing.
+    A look at the non-root vertices of in-degree at most 1 first tests
+    Hall's condition on sets of one or two of them: a vertex with no
+    in-edge, or two whose only in-edges share a colour. Then local search
+    runs once per entry of _LOCAL_SEARCH_STEPS, each run on its own
+    substream, and the first certificate is the answer. When run 0 gives
+    up, one maximum matching tests Hall's condition in full before the
+    other runs. Success returns a verified certificate; failure proves
+    nothing, and its reason is "no injective colour assignment", "root
+    does not span" or "step schedule exhausted".
     """
     _check_root(g.n, root)
     lone = [es for v, es in enumerate(g.in_edges) if len(es) < 2 and v != root]
     if not all(lone) or len({es[0][2] for es in lone}) < len(lone):
         return HeuristicOutcome(None, failure_reason="no injective colour assignment")
-    cert = _local_search(g, root)
-    if cert is not None:
-        return HeuristicOutcome(cert)
-    return _attach_construct(g, root)
+    for run in range(len(_LOCAL_SEARCH_STEPS)):
+        outcome = _local_search(g, root, run)
+        if outcome is not None:
+            return outcome
+        if not run and find_colour_assignment(build_colour_bigraph(g), root) is None:
+            return HeuristicOutcome(None, failure_reason="no injective colour assignment")
+    return HeuristicOutcome(None, failure_reason="step schedule exhausted")
 
 
 _HEURISTIC_TRIES = 3

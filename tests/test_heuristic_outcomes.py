@@ -1,19 +1,14 @@
-"""Pin the constructors: the certificate or failure reason per case.
+"""Pin the constructor: the certificate or failure reason per case.
 
 The oracle tests only check that a constructor's certificate is valid, so
-a change to which tree a constructor builds, or to when it gives up, would
-pass them unseen. Each golden table holds, per (graph, root) case, the
-certificate's edges or the failure reason.
-
-golden/heuristic_outcomes.json pins the attach construction
-(`_attach_construct`) on 240 seeded small graphs (n 2-12, W in
-[n - 1, n + 2], m uniform) from every root, and on the 96 seed-1 inputs of
-the theorem-n200 benchmark workload at m_Z (the first prefix with at most
-one vertex of in-degree zero) from that vertex, the one root
-hitting_times gives the constructor there. golden/constructor_outcomes.json
-pins `heuristic_construct`, local search and then the attach construction,
-on the same 96 inputs. A change meant to alter a constructor regenerates
-the tables with
+a change to which tree the constructor builds, or to when it gives up,
+would pass them unseen. golden/constructor_outcomes.json holds, per
+(graph, root) case, the certificate's edges or the failure reason of
+`heuristic_construct` on the 96 seed-1 inputs of the theorem-n200
+benchmark workload at m_Z (the first prefix with at most one vertex of
+in-degree zero), from that vertex, the one root hitting_times gives the
+constructor there. A change meant to alter the constructor regenerates
+the table with
 
     PYTHONPATH=src python3 tests/test_heuristic_outcomes.py
 """
@@ -21,18 +16,16 @@ the tables with
 import json
 import pathlib
 
-import pytest
+from arborsim.rainbow import heuristic_construct
+from helpers import theorem_n200_cases
 
-from arborsim.rainbow import _attach_construct, heuristic_construct
-from helpers import small_cases, theorem_n200_cases
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+TABLE = pathlib.Path(__file__).parent / "golden" / "constructor_outcomes.json"
 
 
-def _outcomes(construct, cases) -> list[list]:
+def _outcomes() -> list[list]:
     rows = []
-    for name, g, root in cases():
-        outcome = construct(g, root)
+    for name, g, root in theorem_n200_cases():
+        outcome = heuristic_construct(g, root)
         if not outcome.success:
             rows.append([name, outcome.failure_reason])
         else:
@@ -40,37 +33,14 @@ def _outcomes(construct, cases) -> list[list]:
     return rows
 
 
-# golden file -> (constructor, {section: case builder})
-TABLES = {
-    "heuristic_outcomes.json": (
-        _attach_construct, {"small": small_cases, "theorem-n200": theorem_n200_cases}),
-    "constructor_outcomes.json": (heuristic_construct, {"theorem-n200": theorem_n200_cases}),
-}
-
-
-def _check(table: str, section: str) -> None:
-    construct, sections = TABLES[table]
-    want = json.loads((GOLDEN / table).read_text())[section]
-    got = _outcomes(construct, sections[section])
+def test_constructor_matches_golden_table():
+    want = json.loads(TABLE.read_text())["theorem-n200"]
+    got = _outcomes()
     assert [c[0] for c in got] == [c[0] for c in want]
     differ = [g[0] for g, w in zip(got, want) if g != w]
     assert not differ, f"{len(differ)} cases differ, first {differ[:5]}"
 
 
-@pytest.mark.parametrize("section", ["small", "theorem-n200"])
-def test_heuristic_matches_golden_table(section):
-    _check("heuristic_outcomes.json", section)
-
-
-def test_constructor_matches_golden_table():
-    _check("constructor_outcomes.json", "theorem-n200")
-
-
 if __name__ == "__main__":
-    for table, (construct, sections) in TABLES.items():
-        with (GOLDEN / table).open("w") as fh:
-            fh.write("{\n")
-            for k, (section, build) in enumerate(sections.items()):
-                rows = ",\n".join(json.dumps(c, separators=(",", ":")) for c in _outcomes(construct, build))
-                fh.write(f'"{section}": [\n{rows}\n]' + (",\n" if k + 1 < len(sections) else "\n"))
-            fh.write("}\n")
+    rows = ",\n".join(json.dumps(c, separators=(",", ":")) for c in _outcomes())
+    TABLE.write_text(f'{{\n"theorem-n200": [\n{rows}\n]\n}}\n')

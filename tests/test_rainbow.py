@@ -19,11 +19,11 @@ from arborsim.rainbow import (
     decide,
     decide_exact,
     heuristic_construct,
-    _attach_construct,
     _candidate_roots,
     _COLOUR_COMBO_CAP,
     _decide_by_colour_enumeration,
     _local_search,
+    _LOCAL_SEARCH_STEPS,
     _search_root,
     verify_certificate,
 )
@@ -287,18 +287,57 @@ def test_heuristic_mapping_repair_example():
 
 def test_heuristic_reports_missing_assignment():
     g = graph_from_edges(3, 1, [(0, 1, 0), (0, 2, 0)])
-    out = _attach_construct(g, 0)
+    out = heuristic_construct(g, 0)
     assert not out.success
     assert out.failure_reason == "no injective colour assignment"
 
 
-def test_heuristic_reports_unrepairable_components():
-    # V \ {1} has the assignment 0 -> 2, 2 -> 0, but root 1 reaches nothing
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls heuristic_construct makes to each named rainbow function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(rainbow, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rainbow, name, counted)
+    return calls
+
+
+def test_heuristic_reports_a_root_that_spans_nothing(monkeypatch):
+    # V \ {1} has the assignment 0 -> 2, 2 -> 0, but root 1 reaches nothing;
+    # the first local-search run's BFS shows it, with no colour matching
+    calls = _count_calls(monkeypatch, "build_colour_bigraph", "_local_search")
     g = graph_from_edges(3, 3, [(2, 0, 2), (0, 2, 0)])
-    out = _attach_construct(g, 1)
-    assert not out.success
-    assert out.failure_reason == "unrepairable components"
+    out = heuristic_construct(g, 1)
+    assert out == (None, "root does not span")
+    assert calls == {"build_colour_bigraph": 0, "_local_search": 1}
     assert decide_exact(g, root=1) is None
+
+
+def test_heuristic_tests_hall_once_after_the_first_run(monkeypatch):
+    # Every non-root vertex has two in-edges, and n - 1 = 3 colours are
+    # present, but only colours 0 and 1 enter {1, 2, 3}: the in-degree
+    # pre-check passes, the first run fails, and one matching ends the call
+    calls = _count_calls(monkeypatch, "find_colour_assignment", "_local_search")
+    g = graph_from_edges(4, 3, [(0, 1, 0), (2, 1, 1), (0, 2, 0), (1, 2, 1),
+                                (0, 3, 0), (1, 3, 1), (1, 0, 2)])
+    out = heuristic_construct(g, 0)
+    assert out == (None, "no injective colour assignment")
+    assert calls == {"find_colour_assignment": 1, "_local_search": 1}
+
+
+def test_heuristic_runs_the_whole_schedule_before_giving_up(monkeypatch):
+    # Root 1 is a candidate root (it spans, and 0 -> 0, 2 -> 1 assigns
+    # colours) but its only spanning tree 1 -> 2 -> 0 repeats colour 0
+    calls = _count_calls(monkeypatch, "find_colour_assignment", "_local_search")
+    g = graph_from_edges(3, 2, [(0, 2, 1), (2, 0, 0), (1, 2, 0)])
+    assert _candidate_roots(g, 1) == [1] and brute_force_oracle(g, root=1) is None
+    out = heuristic_construct(g, 1)
+    assert out == (None, "step schedule exhausted")
+    assert calls == {"find_colour_assignment": 1, "_local_search": len(_LOCAL_SEARCH_STEPS)}
 
 
 def test_heuristic_one_sided_and_sound():
@@ -359,11 +398,11 @@ def test_local_search_certificate_is_made_of_the_graphs_own_edges():
     certified = 0
     for g in graphs:
         for root in range(min(g.n, 3)):
-            cert = _local_search(g, root)
-            if cert is None:
+            out = _local_search(g, root)
+            if out is None or not out.success:
                 continue
             certified += 1
-            for v, e in cert.parent_edge.items():
+            for v, e in out.certificate.parent_edge.items():
                 assert any(x is e for x in g.in_edges[v])
     assert certified > 4
 
@@ -379,8 +418,7 @@ def test_hall_violations_skip_local_search(monkeypatch):
     ):
         g = graph_from_edges(n, w, edges)
         out = heuristic_construct(g, root)
-        assert out == _attach_construct(g, root)
-        assert out.failure_reason == "no injective colour assignment"
+        assert out == (None, "no injective colour assignment")
     # the root's own in-edge does not count
     g = graph_from_edges(3, 3, [(1, 0, 2), (0, 1, 2), (0, 2, 1)])
     with pytest.raises(AssertionError, match="local search ran"):
@@ -391,7 +429,7 @@ def test_exact_mode_never_runs_the_constructor(monkeypatch):
     def no_constructor(*args, **kwargs):
         raise AssertionError("exact mode ran a constructor")
 
-    for name in ("heuristic_construct", "_local_search", "_attach_construct"):
+    for name in ("heuristic_construct", "_local_search"):
         monkeypatch.setattr(rainbow, name, no_constructor)
     rng = SplitMix64(1729)
     outcomes = set()
@@ -530,7 +568,6 @@ g.add_edge(ColouredEdge(1, 2, 1))
 rainbow.verify_certificate = lambda g, cert: False  # every check fails
 solvers = [
     lambda: rainbow.decide(g, "heuristic"),  # local search
-    lambda: rainbow._attach_construct(g, 0),
     lambda: rainbow.decide(g, "exact"),  # colour enumeration
     lambda: rainbow._search_root(g, 0, None),
 ]
@@ -549,7 +586,6 @@ def test_certificates_are_rechecked_under_python_O():
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == [
         "local search produced an invalid certificate",
-        "heuristic produced an invalid certificate",
         "tree extraction produced an invalid certificate",
         "exact solver produced an invalid certificate",
     ]
