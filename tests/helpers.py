@@ -26,9 +26,9 @@ def graph_from_edges(n: int, colour_count: int, edges) -> ColouredDigraph:
     return g
 
 
-def prefix_at_m(n: int, seed: int) -> ColouredDigraph:
+def prefix_at_m(n: int, seed: int, colour_count: int | str = "auto") -> ColouredDigraph:
     """The prefix of the n-vertex trace at M = max(m_C, m_Z), as exact-n200 builds it."""
-    trace = ProcessTrace(ProcessConfig(n, "auto", seed))
+    trace = ProcessTrace(ProcessConfig(n, colour_count, seed))
     g = ColouredDigraph(n, trace.colour_count)
     for e in trace.prefix(trace.total_edges):
         g.add_edge(e)

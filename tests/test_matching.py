@@ -104,6 +104,9 @@ def test_assignment_roots_equal_per_root_matchings():
         b = build_colour_bigraph(g)
         expected = {r for r in range(n) if find_colour_assignment(b, r) is not None}
         assert assignment_roots(b) == expected
+        # in-edge colours as stored, unsorted and with repeats, give the same roots
+        stored = ColourBipartiteGraph(n, [[e.colour for e in es] for es in g.in_edges])
+        assert assignment_roots(stored) == expected
         kinds.add("none" if not expected else "all" if len(expected) == n else "some")
     assert kinds == {"none", "some", "all"}
 
@@ -150,6 +153,58 @@ def test_witness_and_roots_equal_a_fresh_alternating_reach():
             else:
                 assert assignment_roots(b) == (set() if unmatched else set(range(n)))
     assert seen == {"no colours", "witness"}
+
+
+def bfs_only_matching(b, skip=None):
+    """Reference: the matcher that runs a full BFS from every start vertex."""
+    match_v, match_c, tree = {}, {}, None
+    for start in range(b.n):
+        if start == skip:
+            continue
+        parent_colour, queue, found, qi = {}, [start], None, 0
+        while qi < len(queue) and found is None:
+            v = queue[qi]
+            qi += 1
+            for c in b.adjacency[v]:
+                if c in parent_colour:
+                    continue
+                parent_colour[c] = v
+                if match_c.get(c) is None:
+                    found = c
+                    break
+                queue.append(match_c[c])
+        if found is None:
+            if tree is None:
+                tree = (queue, parent_colour)
+            continue
+        c = found
+        while True:
+            v = parent_colour[c]
+            prev = match_v.get(v)
+            match_v[v] = c
+            match_c[c] = v
+            if prev is None and v == start:
+                break
+            c = prev
+    return match_v, tree
+
+
+def test_maximum_matching_equals_the_bfs_only_matcher():
+    rng = SplitMix64(2929)
+    seen = set()
+    for _ in range(3000):
+        n = 1 + rng.below(9)
+        w = 1 + rng.below(n + 2)  # W < n often, so colours are contended
+        # unsorted rows with repeats, as stored in-edge colours come; some empty
+        adjacency = [[rng.below(w) for _ in range(rng.below(5))] for _ in range(n)]
+        b = ColourBipartiteGraph(n, adjacency)
+        for skip in [None, *range(n)]:
+            got = _maximum_matching(b, skip)
+            assert got == bfs_only_matching(b, skip)
+            seen.add("saturated" if got[1] is None else "no colours" if not got[1][1] else "witness")
+        if w < n:
+            seen.add("W < n")
+    assert seen == {"saturated", "no colours", "witness", "W < n"}
 
 
 def test_materialized_assignment_structure():

@@ -28,6 +28,7 @@ from arborsim.rainbow import (
     verify_certificate,
 )
 from arborsim.experiments import run_theorem_experiment
+from arborsim.matching import build_colour_bigraph, find_colour_assignment
 from arborsim.rng import SplitMix64, derive_trial_seed
 from helpers import graph_from_edges, prefix_at_m, random_graph, small_cases, theorem_n200_cases
 
@@ -201,6 +202,38 @@ def test_root_out_of_range_is_value_error():
                 decide_exact(g, root=root)
             with pytest.raises(ValueError, match="out of range"):
                 brute_force_oracle(g, root=root)
+
+
+def test_candidate_roots_equal_their_definition():
+    rng = SplitMix64(3141)
+    kinds = set()
+    for _ in range(2400):
+        n = 2 + rng.below(8)
+        w = 1 + rng.below(n + 2)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        b = build_colour_bigraph(g)
+        spanning = []
+        for r in range(n):
+            seen = {r}
+            queue = [r]
+            for t in queue:
+                for e in g.out_edges[t]:
+                    if e.head not in seen:
+                        seen.add(e.head)
+                        queue.append(e.head)
+            if len(seen) == n:
+                spanning.append(r)
+        expected = sorted((r for r in spanning if find_colour_assignment(b, r) is not None),
+                          key=lambda v: (len(g.in_edges[v]), v))
+        assert _candidate_roots(g, None) == expected
+        kinds.add("no span" if not spanning else "none" if not expected else "some")
+    assert kinds == {"no span", "none", "some"}
+    # a given root is range-checked even when no vertex spans
+    no_span = graph_from_edges(3, 3, [(0, 1, 0)])
+    assert _candidate_roots(no_span, None) == []
+    for root in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            _candidate_roots(no_span, root)
 
 
 def test_exact_budget():

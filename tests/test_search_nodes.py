@@ -11,7 +11,11 @@ The cases are 300 seeded small graphs (n 2-8, W in [n - 1, n + 1], m
 uniform) from every root, and the first 8 seed-1 inputs of the exact-n200
 benchmark workload (the prefix at M = max(m_C, m_Z) of an n = 200 trace)
 from each candidate root in turn, up to the first certificate, as
-decide_exact's backtracking tries them. A change meant to alter the search
+decide_exact's backtracking tries them. The W ~ n section holds the
+colour-collision-heavy inputs in the same way: the prefix at M of n = 20-25
+traces at W = n - 1 and W = n, trials 0-15 of each (trace seed
+derive_trial_seed(trial, 0)), those whose search enters at most 12,000
+grow frames (most of the rest run for seconds). A change meant to alter the search
 regenerates the table with
 
     PYTHONPATH=src python3 tests/test_search_nodes.py
@@ -67,19 +71,51 @@ def _small_cases() -> list[dict]:
     return cases
 
 
+# (n, W) -> the trials whose search enters at most 12,000 grow frames
+W_NEAR_N_TRIALS = {
+    (20, 19): (0, 7, 8, 13),
+    (20, 20): (4, 5, 6, 8, 15),
+    (21, 20): (0, 1, 14),
+    (21, 21): (6, 7),
+    (22, 21): (1, 2, 4, 7, 8, 12, 15),
+    (22, 22): (0, 2, 4, 10, 14),
+    (23, 22): (1, 3, 13),
+    (23, 23): (4, 8),
+    (24, 23): (0, 4, 14),
+    (24, 24): (1, 9),
+    (25, 25): (4, 7, 11),
+}
+
+
+def _search_from_candidate_roots(name: str, g: ColouredDigraph) -> list[dict]:
+    """A case per candidate root in turn, up to the first certificate."""
+    cases = []
+    for r in _candidate_roots(g, None):
+        cases.append(_case(f"{name} root {r}", g, r))
+        if cases[-1]["certificate"] is not None:
+            break
+    return cases
+
+
 def _exact_n200_cases() -> list[dict]:
     cases = []
     for i in range(8):
         # input i of the exact-n200 workload at benchmark seed 1
         g = prefix_at_m(200, derive_trial_seed(1 * 10**6 + i, 0))
-        for r in _candidate_roots(g, None):
-            cases.append(_case(f"exact-n200 seed 1 input {i} root {r}", g, r))
-            if cases[-1]["certificate"] is not None:
-                break
+        cases += _search_from_candidate_roots(f"exact-n200 seed 1 input {i}", g)
     return cases
 
 
-SECTIONS = {"small": _small_cases, "exact-n200": _exact_n200_cases}
+def _w_near_n_cases() -> list[dict]:
+    cases = []
+    for (n, w), trials in W_NEAR_N_TRIALS.items():
+        for i in trials:
+            g = prefix_at_m(n, derive_trial_seed(i, 0), w)
+            cases += _search_from_candidate_roots(f"W~n n {n} W {w} trial {i}", g)
+    return cases
+
+
+SECTIONS = {"small": _small_cases, "exact-n200": _exact_n200_cases, "W~n": _w_near_n_cases}
 
 
 @pytest.mark.parametrize("section", SECTIONS)
