@@ -17,7 +17,9 @@ from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root
 
 class ColourBipartiteGraph(NamedTuple):
     n: int
-    adjacency: list[list[int]]  # per vertex, sorted distinct colours on its in-edges
+    # per vertex, the colours on its in-edges; sorted and distinct from
+    # build_colour_bigraph, which the mappings and witnesses printed rely on
+    adjacency: list[list[int]]
 
 
 class ColourAssignment(NamedTuple):
@@ -40,11 +42,13 @@ def _maximum_matching(
 ) -> tuple[dict[int, int], tuple[list[int], dict[int, int]] | None]:
     """Maximum matching over left = vertices except `skip` (if any), right = colours.
 
-    BFS augmenting-path search from each free left vertex in ascending
-    order; deterministic for a given adjacency. Returns the matching
-    (vertex -> colour) and the search tree (vertices, colour -> vertex it
-    was reached from) of the lowest vertex the matching leaves unmatched,
-    or None if every vertex is matched.
+    Each free left vertex, in ascending order, takes its first colour in
+    adjacency order that is still free, which is the colour its BFS
+    augmenting-path search would find first; only a vertex whose colours
+    are all taken runs that search (_augment). Deterministic for a given
+    adjacency. Returns the matching (vertex -> colour) and the search tree
+    (vertices, colour -> vertex it was reached from) of the lowest vertex
+    the matching leaves unmatched, or None if every vertex is matched.
 
     That tree is the vertex's alternating reach under the final matching.
     When the search from u fails it has reached S = its queue and
@@ -61,38 +65,51 @@ def _maximum_matching(
     for start in range(b.n):
         if start == skip:
             continue
-        # BFS over alternating paths, recording how each colour was reached.
-        parent_colour: dict[int, int] = {}  # colour -> left vertex it was reached from
-        queue = [start]
-        found: int | None = None
-        qi = 0
-        while qi < len(queue) and found is None:
-            v = queue[qi]
-            qi += 1
-            for c in b.adjacency[v]:
-                if c in parent_colour:
-                    continue
-                parent_colour[c] = v
-                owner = match_c.get(c)
-                if owner is None:
-                    found = c
-                    break
-                queue.append(owner)
-        if found is None:
-            if tree is None:
-                tree = (queue, parent_colour)
-            continue
-        # Flip the alternating path back to `start`.
-        c = found
-        while True:
-            v = parent_colour[c]
-            prev = match_v.get(v)
-            match_v[v] = c
-            match_c[c] = v
-            if prev is None and v == start:
+        for c in b.adjacency[start]:
+            if c not in match_c:
+                match_v[start] = c
+                match_c[c] = start
                 break
-            c = prev  # type: ignore[assignment]
+        else:
+            failed = _augment(b.adjacency, start, match_v, match_c)
+            if tree is None:
+                tree = failed
     return match_v, tree
+
+
+def _augment(
+    adjacency: list[list[int]], start: int, match_v: dict[int, int], match_c: dict[int, int]
+) -> tuple[list[int], dict[int, int]] | None:
+    """Augment the matching from free `start` by BFS; None, or the failed search tree."""
+    # BFS over alternating paths, recording how each colour was reached.
+    parent_colour: dict[int, int] = {}  # colour -> left vertex it was reached from
+    queue = [start]
+    found: int | None = None
+    qi = 0
+    while qi < len(queue) and found is None:
+        v = queue[qi]
+        qi += 1
+        for c in adjacency[v]:
+            if c in parent_colour:
+                continue
+            parent_colour[c] = v
+            owner = match_c.get(c)
+            if owner is None:
+                found = c
+                break
+            queue.append(owner)
+    if found is None:
+        return queue, parent_colour
+    # Flip the alternating path back to `start`.
+    c = found
+    while True:
+        v = parent_colour[c]
+        prev = match_v.get(v)
+        match_v[v] = c
+        match_c[c] = v
+        if prev is None and v == start:
+            return None
+        c = prev  # type: ignore[assignment]
 
 
 def find_colour_assignment(b: ColourBipartiteGraph, root: int) -> ColourAssignment | None:
@@ -123,6 +140,11 @@ def find_k_witness(b: ColourBipartiteGraph, root: int) -> KWitness | None:
 
 def assignment_roots(b: ColourBipartiteGraph) -> set[int]:
     """Every root r for which find_colour_assignment(b, r) succeeds, from one matching.
+
+    The answer is a property of the bipartite graph alone, so each
+    vertex's colours may come in any order and with repeats, as its
+    in-edges store them; the matching found depends on that order, the
+    roots do not.
 
     Take a maximum matching on all of V. If it leaves two or more vertices
     unmatched, removing one root cannot saturate the rest; if it leaves

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
 from arborsim.matching import (
+    ColourBipartiteGraph,
     assignment_roots,
     build_colour_bigraph,
     find_colour_assignment,
@@ -154,14 +155,25 @@ def _candidate_roots(g: ColouredDigraph, root: int | None) -> list[int]:
     A root qualifies when it reaches every vertex (spanning_roots) and
     V \\ {root} has an injective colour assignment (assignment_roots, one
     maximum matching for every root at once). A given root must be a vertex
-    (ValueError otherwise) and is kept only if it qualifies. No other root
-    carries a rainbow arborescence, so colour enumeration, backtracking and
-    the heuristic (in decide) all start from these roots alone, and an
-    empty list means there is none.
+    (ValueError otherwise, whatever the graph) and is kept only if it
+    qualifies. No other root carries a rainbow arborescence, so colour
+    enumeration, backtracking and the heuristic (in decide) all start from
+    these roots alone, and an empty list means there is none.
+
+    The spanning roots come first, and when there are none no matching is
+    run. Which roots admit an assignment does not depend on the order of a
+    vertex's colours (see assignment_roots), so the matching reads each
+    vertex's in-edge colours as stored, unsorted and with repeats, and
+    builds no sorted bigraph.
     """
-    usable = assignment_roots(build_colour_bigraph(g)).intersection(spanning_roots(g))
     if root is not None:
         _check_root(g.n, root)
+    spanning = spanning_roots(g)
+    if not spanning:
+        return []
+    stored = ColourBipartiteGraph(g.n, [[e[2] for e in es] for es in g.in_edges])
+    usable = assignment_roots(stored).intersection(spanning)
+    if root is not None:
         usable &= {root}
     return sorted(usable, key=lambda v: (len(g.in_edges[v]), v))
 
@@ -219,33 +231,39 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     The tables are the graph's own where they can be. In-edges are
     g.in_edges, whose process order fixes the branch order and so the
     nodes visited and the certificate, and out-edges are g.out_edges, the
-    same ColouredEdge objects, read as they are. One pass over g.edges
-    files each edge under its colour in colour_edges; take(), enter() and
-    untake() read these tables, and their updates do not depend on the
-    order. heads_of and `live` start from g.colour_mult and
+    same ColouredEdge objects, read as they are. Set-up scales with the
+    colours that collide, not with the graph: one pass over g.edges files
+    under its colour in colour_edges only an edge whose colour sits on
+    more than one edge (g.colour_mult), and a colour on one edge is that
+    edge alone, the branch edge that take() and untake() receive. take(),
+    enter() and untake() read these tables, and their updates do not
+    depend on the order. heads_of and `live` start from g.colour_mult and
     g.distinct_colours, and `parent` maps each tree vertex to its chosen
     edge, one of g's own, and becomes the certificate. Only the memo's
-    colour masks renumber the colours, densely in order of first
-    appearance. Everything the search builds is freed when it returns.
+    colour masks renumber the colours, densely in the order the search
+    first takes them. Everything the search builds is freed when it
+    returns.
     """
     n = g.n
     full = (1 << n) - 1
     in_edges = g.in_edges
     out_edges = g.out_edges
-    colour_edges: dict[int, list[ColouredEdge]] = {}
+    mult = g.colour_mult
+    colour_edges: dict[int, list[ColouredEdge]] = {}  # the colliding colours only
     # Edges are indexed, not unpacked, on every path a node takes: CPython
     # unpacks a NamedTuple through an iterator, about 1.4x the cost.
     for e in g.edges:
-        es = colour_edges.get(e[2])
-        if es is None:
-            colour_edges[e[2]] = [e]
-        else:
-            es.append(e)
+        if mult[e[2]] > 1:
+            es = colour_edges.get(e[2])
+            if es is None:
+                colour_edges[e[2]] = [e]
+            else:
+                es.append(e)
     # Dense numbering keeps the memo's colour masks as wide as the colours
-    # present, not as wide as colour_count (3,347 at n = 200 by default).
-    colour_bit = {c: 1 << k for k, c in enumerate(colour_edges)}
+    # taken, not as wide as colour_count (3,347 at n = 200 by default).
+    colour_bit: dict[int, int] = {}
     # The only list as long as colour_count, like colour_mult itself.
-    heads_of = g.colour_mult.copy()
+    heads_of = mult.copy()
     live = g.distinct_colours
     spent = len(g.edges) + 1  # marks a used colour in heads_of, see above
     inside = bytearray(n)
@@ -273,11 +291,11 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 adm[h] = a = a + 1
                 by_adm[a] ^= bit
 
-    def take(v: int, c: int) -> list[int]:
+    def take(v: int, c: int, edge: ColouredEdge) -> list[int]:
         nonlocal live
         heads_of[c] -= spent
         live -= 1  # c enters v, which is still outside
-        taken = colour_edges[c]
+        taken = colour_edges.get(c) or (edge,)
         for e in taken:
             t = e[0]
             h = e[1]
@@ -290,7 +308,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         enter(v)
         return [e[1] for e in taken if not (inside[e[1]] or adm[e[1]])]
 
-    def untake(v: int, c: int) -> None:
+    def untake(v: int, c: int, edge: ColouredEdge) -> None:
         nonlocal live
         for e in out_edges[v]:
             h = e[1]
@@ -307,7 +325,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                 live += 1
             heads_of[k] += 1
         inside[v] = 0
-        for e in colour_edges[c]:
+        for e in colour_edges.get(c) or (edge,):
             t = e[0]
             h = e[1]
             if inside[t] and not inside[h]:
@@ -372,9 +390,12 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                     if not inside[t] or heads_of[c] < 0:
                         continue
                     parent[v] = e
-                    if grow(tree | vbit, used | colour_bit[c], take(v, c)):
+                    bit = colour_bit.get(c)
+                    if bit is None:
+                        bit = colour_bit[c] = 1 << len(colour_bit)
+                    if grow(tree | vbit, used | bit, take(v, c, e)):
                         return True
-                    untake(v, c)
+                    untake(v, c, e)
         failed.add(key)
         return False
 
