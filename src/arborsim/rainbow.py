@@ -231,11 +231,11 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     The tables are the graph's own where they can be. In-edges are
     g.in_edges, whose process order fixes the branch order and so the
     nodes visited and the certificate, and out-edges are g.out_edges, the
-    same ColouredEdge objects, read as they are. Set-up scales with the
-    colours that collide, not with the graph: one pass over g.edges files
-    under its colour in colour_edges only an edge whose colour sits on
-    more than one edge (g.colour_mult), and a colour on one edge is that
-    edge alone, the branch edge that take() and untake() receive. take(),
+    same ColouredEdge objects, read as they are. Set-up files only the
+    colours that collide: one pass over g.edges files under its colour in
+    colour_edges only an edge whose colour sits on more than one edge
+    (g.colour_mult), and a colour on one edge is that edge alone, the
+    branch edge that take() and untake() receive. take(),
     enter() and untake() read these tables, and their updates do not
     depend on the order. heads_of and `live` start from g.colour_mult and
     g.distinct_colours, and `parent` maps each tree vertex to its chosen
