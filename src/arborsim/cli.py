@@ -318,6 +318,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "hitting-times": _cmd_hitting_times,
+             "decide": _cmd_decide, "assign": _cmd_assign,
+             "mapping": _cmd_mapping, "experiment": _cmd_experiment}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -336,20 +341,17 @@ def main(argv: list[str] | None = None) -> int:
               f"in-neighbour below n, got {args.n}", file=sys.stderr)
         return 1
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "hitting-times":
-            return _cmd_hitting_times(args)
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "assign":
-            return _cmd_assign(args)
-        if args.command == "mapping":
-            return _cmd_mapping(args)
-        return _cmd_experiment(args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
     except (ValueError, OverflowError, OracleTooLargeError) as exc:
         print(f"arborsim: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError as exc:
+        with open(os.devnull, "w") as null:  # where the exit flush then writes
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"arborsim: cannot write standard output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from itertools import product
 from typing import NamedTuple
 
-from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, forward_closure, spanning_roots
+from arborsim.digraph import ColouredDigraph, ColouredEdge, _check_root, spanning_roots
 from arborsim.matching import (
     ColourBipartiteGraph,
     assignment_roots,
@@ -193,18 +193,19 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     depends only on the vertices it covers and the colours it consumed,
     never on its internal shape.
 
-    Reachability is checked in full only at the root state, where no colour
-    is used yet, so it is plain reachability from the root. Below it, a
-    state passed and a branch took edge (t, v, c), so the child lost only
-    the colour-c edges. On any old path to an outside vertex w, take the
-    last colour-c edge (s, h): the rest of the path after h still exists,
-    so w is reachable if and only if h is. A head h inside the tree or one
-    frontier edge from it (adm[h] > 0) is reachable; take() returns the
-    other outside heads of colour-c edges, the cut vertices (usually none),
-    and grow checks each by a backward search along unused-colour edges
-    until it meets the tree. That is the answer of a full pass, so the
-    nodes visited, the memo and the branch order are those of a search
-    that reruns the pass everywhere.
+    The root must reach every vertex, as every candidate root does, so at
+    the root state, with no colour used, grow checks no reachability. Below
+    it, a state passed and a branch took edge (t, v, c), so the child lost
+    only the colour-c edges. On any old path to an outside vertex w, take
+    the last colour-c edge (s, h): the rest of the path after h still
+    exists, so w is reachable if and only if h is. A head h inside the tree
+    or one frontier edge from it (adm[h] > 0) is reachable; take() returns
+    the other outside heads of colour-c edges, the cut vertices (usually
+    none), and grow checks each by a backward search along unused-colour
+    edges until it meets the tree. That is the answer of a full pass, so the
+    nodes visited, the memo and the branch order are those of a search that
+    reruns the pass everywhere. From any other root the search stays sound
+    and complete, only slower: every prune it keeps is sound.
 
     A node costs O(size of the taken colour class + degree of v) integer
     operations, plus one backward search per cut vertex, which visits at
@@ -351,7 +352,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
                     todo.append(t)
         return False
 
-    def grow(tree: int, used: int, cut: list[int] | None) -> bool:
+    def grow(tree: int, used: int, cut: list[int]) -> bool:
         if tree == full:
             return True
         key = tree | used << n
@@ -362,11 +363,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
         if live < n - tree.bit_count():
             failed.add(key)
             return False
-        if cut is None:  # the root state
-            if len(forward_closure(out_edges, (root,))) < n:
-                failed.add(key)
-                return False
-        elif cut and not all(map(reached, cut)):
+        if cut and not all(map(reached, cut)):
             failed.add(key)
             return False
         # Branching over every admissible frontier edge is complete: any
@@ -405,7 +402,7 @@ def _search_root(g: ColouredDigraph, root: int, deadline: float | None) -> Arbor
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)
     try:
-        if not grow(1 << root, 0, None):
+        if not grow(1 << root, 0, []):
             return None
     finally:
         sys.setrecursionlimit(limit)
@@ -473,15 +470,15 @@ def decide_exact(
     every vertex and leave V \\ {root} an injective colour assignment (see
     _candidate_roots); a given root is searched only if it is one. Fewer
     than n - 1 colours leave no candidate root, and n = 1 leaves the root 0,
-    whose certificate is empty. The roots are computed once, and both exact
-    algorithms search from them alone. When few colours collide, colour
-    enumeration fixes one surviving edge per colliding colour class and
-    looks for a spanning out-tree from a candidate root among the
-    survivors. Otherwise backtracking (_search_root) grows the tree outward
-    from each candidate root in increasing (in-degree, v) order, branching
-    on every frontier-crossing edge with an unused colour and memoising
-    failed (vertex set, colour set) states; its docstring gives the state
-    the search keeps, its prunes and their cost.
+    whose certificate is empty. The roots are computed once per call, and
+    both exact algorithms search from them alone. When few colours collide,
+    colour enumeration fixes one surviving edge per colliding colour class
+    and looks for a spanning out-tree among the survivors from each
+    candidate root in ascending order. Otherwise backtracking (_search_root)
+    grows a tree from each candidate root, which spans, in increasing
+    (in-degree, v) order, branching on every frontier-crossing edge with an
+    unused colour and memoising failed (vertex set, colour set) states; its
+    docstring gives the state the search keeps, its prunes and their cost.
     """
     roots = _candidate_roots(g, root)
     if not roots:
@@ -659,9 +656,9 @@ def decide(
     and auto first list the candidate roots (see _candidate_roots). An
     empty list is a two-sided no, returned at once as not_found decided_by
     "exact" with no solver run. Otherwise they run the heuristic from the
-    first _HEURISTIC_TRIES candidate roots, the ones the exact search
-    would try first. auto uses it as a fast accept path and falls back to
-    the exact search, so it stays two-sided.
+    first _HEURISTIC_TRIES candidate roots, in backtracking's order (colour
+    enumeration tries them in ascending order). auto uses it as a fast
+    accept path and falls back to decide_exact, so it stays two-sided.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decision mode {mode!r}")

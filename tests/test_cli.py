@@ -1,9 +1,13 @@
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import arborsim
 from arborsim import edgelist
 from arborsim.cli import build_parser, main
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
@@ -196,6 +200,31 @@ def test_io_error_exits_3(tmp_path):
     code, _, err = run_cli(["simulate", "--n", "3", "--out",
                             str(tmp_path / "nodir" / "x.txt")])
     assert code == 3
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_3_without_a_traceback(tmp_path, unbuffered):
+    # The pipe's reader is closed before the command starts, so its first
+    # write to standard output, or the flush of its buffered output, fails.
+    path = tmp_path / "tiny.txt"
+    path.write_text("3 2\n1 2 1\n1 3 2\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(arborsim.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["decide", "--input", str(path)],  # prints a certificate
+                 ["assign", "--input", str(path)],
+                 ["simulate", "--n", "8", "--seed", "3", "--m", "24"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "arborsim.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert done.returncode == 3, (argv, done.stderr)
+        assert done.stderr.startswith("arborsim: cannot write standard output: "), (argv, done.stderr)
+        assert done.stderr.count("\n") == 1, (argv, done.stderr)
 
 
 def test_hitting_times_n2():

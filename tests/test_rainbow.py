@@ -172,6 +172,37 @@ def test_backtracking_matches_oracle_every_root():
     assert min(outcomes.values()) > 100
 
 
+def test_every_searched_root_spans(monkeypatch):
+    # _search_root takes as given that its root reaches every vertex, so
+    # no decision path may hand it any other root. Colour enumeration is
+    # switched off so that the search runs on every small graph.
+    monkeypatch.setattr(rainbow, "_decide_by_colour_enumeration", lambda g, roots, deadline: "inapplicable")
+    search = rainbow._search_root
+    searched = []
+
+    def checked_search(g, root, deadline):
+        searched.append(root)
+        assert root in spanning_roots(g), (g.n, g.edges, root)
+        return search(g, root, deadline)
+
+    monkeypatch.setattr(rainbow, "_search_root", checked_search)
+    rng = SplitMix64(57721)
+    partly_spanning = 0  # graphs searched where some vertex but not every one spans
+    for _ in range(1000):
+        n = 2 + rng.below(8)
+        w = n - 1 + rng.below(4)
+        g = random_graph(rng, n, w, rng.below(n * (n - 1) + 1))
+        before = len(searched)
+        decide_exact(g)
+        for r in range(n):
+            decide_exact(g, r)
+        for mode in ("exact", "auto"):
+            decide(g, mode)
+        if len(searched) > before and len(spanning_roots(g)) < n:
+            partly_spanning += 1
+    assert len(searched) > 2000 and partly_spanning > 50
+
+
 def test_exact_matches_oracle_exhaustive_colourings():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]
     for colours in itertools.product(range(2), repeat=len(edges)):

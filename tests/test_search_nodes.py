@@ -8,15 +8,17 @@ so a change to pruning, memoisation or branch order shows here. Frames are
 counted with a profile hook, so the solver carries no counter.
 
 The cases are 300 seeded small graphs (n 2-8, W in [n - 1, n + 1], m
-uniform) from every root, and the first 8 seed-1 inputs of the exact-n200
-benchmark workload (the prefix at M = max(m_C, m_Z) of an n = 200 trace)
-from each candidate root in turn, up to the first certificate, as
+uniform) from every root, including roots that do not reach every vertex,
+which the search takes as given and never checks, so those cases count the
+frames its other prunes take to fail; and the first 8 seed-1 inputs of the
+exact-n200 benchmark workload (the prefix at M = max(m_C, m_Z) of an n = 200
+trace) from each candidate root in turn, up to the first certificate, as
 decide_exact's backtracking tries them. The W ~ n section holds the
 colour-collision-heavy inputs in the same way: the prefix at M of n = 20-25
 traces at W = n - 1 and W = n, trials 0-15 of each (trace seed
-derive_trial_seed(trial, 0)), those whose search enters at most 12,000
-grow frames (most of the rest run for seconds). A change meant to alter the search
-regenerates the table with
+derive_trial_seed(trial, 0)), those whose search enters at most 12,000 grow
+frames (most of the rest run for seconds). A change meant to alter the
+search regenerates the table with
 
     PYTHONPATH=src python3 tests/test_search_nodes.py
 """
