@@ -24,13 +24,14 @@ modes; in heuristic mode it is the answer.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
 from arborsim.digraph import ColouredDigraph, ColouredEdge, has_spanning_arborescence
 from arborsim.process import ProcessTrace
-from arborsim.rainbow import MODES, BudgetExceededError, decide, heuristic_construct
+from arborsim.rainbow import MODES, BudgetExceededError, decide, decide_exact, heuristic_construct
 
 
 class HittingTimes(NamedTuple):
@@ -105,9 +106,11 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     decisions cannot drive a sound search. Auto and exact stop on
     success, since a verified certificate at the lower bound m_Z is exact;
     else auto, exact and oracle gallop from max(m_A, m_C) with their own
-    solver, the budget applying per rainbow decision; auto probes m_Z in
-    exact mode, as the constructor has just failed there from the only
-    possible root. Oracle, the brute-force reference, always searches.
+    solver, the budget applying per rainbow decision. A probe at m_Z
+    happens only after the constructor has failed there from the only
+    possible root, so auto and exact probe it with decide_exact, which
+    skips the constructor. Oracle, the brute-force reference, always
+    searches.
     """
     if r_mode not in MODES:
         raise ValueError(f"unknown r_mode {r_mode!r}, expected one of {MODES}")
@@ -160,9 +163,15 @@ def hitting_times(trace: ProcessTrace, r_mode: str = "auto",
     if at_z and r_mode in ("auto", "exact"):  # a verified certificate at the lower bound
         return HittingTimes(m_c, m_z, m_a, m_z, "exact", True)
 
-    try:  # at m_Z the constructor has just failed, so auto probes as exact
-        m_r = gallop(max(m_a, m_c), total, lambda m: event_holds(
-            graph(m), "R", "exact" if m == m_z and r_mode == "auto" else r_mode, budget_s))
+    def r_holds(m: int) -> bool:
+        if m > m_z or r_mode == "oracle":
+            return event_holds(graph(m), "R", r_mode, budget_s)
+        # The constructor has just failed here from the only possible root.
+        deadline = None if budget_s is None else time.monotonic() + budget_s
+        return decide_exact(graph(m), deadline=deadline) is not None
+
+    try:
+        m_r = gallop(max(m_a, m_c), total, r_holds)
     except BudgetExceededError:
         return HittingTimes(m_c, m_z, m_a, None, "unknown", at_z)
     return HittingTimes(m_c, m_z, m_a, m_r, "exact", at_z)

@@ -424,7 +424,7 @@ def _decide_by_colour_enumeration(
     which single edge survives in every colour class of multiplicity >= 2
     and asking for any spanning arborescence among the surviving edges is
     an exact reduction. Each combination is tried with a BFS out-tree from
-    each of `roots` in ascending order; the first that spans is returned.
+    each of `roots` in the order given; the first that spans is returned.
     The number of combinations is the product of the class sizes; returns
     "inapplicable" when that exceeds the cap, read from the colour
     multiplicities before any edge is grouped.
@@ -441,7 +441,6 @@ def _decide_by_colour_enumeration(
     single = [es[0] for es in by_colour.values() if len(es) == 1]
     multi = [es for es in by_colour.values() if len(es) > 1]
     n = g.n
-    roots = sorted(roots)
     for selection in product(*multi):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("exact search budget exhausted")
@@ -464,25 +463,34 @@ def _decide_by_colour_enumeration(
 def decide_exact(
     g: ColouredDigraph, root: int | None = None, deadline: float | None = None
 ) -> ArborescenceCertificate | None:
-    """Sound and complete decision.
+    """Sound and complete decision, without the constructor.
 
     Only candidate roots can carry a rainbow arborescence: those that reach
     every vertex and leave V \\ {root} an injective colour assignment (see
     _candidate_roots); a given root is searched only if it is one. Fewer
     than n - 1 colours leave no candidate root, and n = 1 leaves the root 0,
-    whose certificate is empty. The roots are computed once per call, and
-    both exact algorithms search from them alone. When few colours collide,
-    colour enumeration fixes one surviving edge per colliding colour class
-    and looks for a spanning out-tree among the survivors from each
-    candidate root in ascending order. Otherwise backtracking (_search_root)
-    grows a tree from each candidate root, which spans, in increasing
-    (in-degree, v) order, branching on every frontier-crossing edge with an
-    unused colour and memoising failed (vertex set, colour set) states; its
-    docstring gives the state the search keeps, its prunes and their cost.
+    whose certificate is empty. It lists the roots once and hands them to
+    _exact_search, the search that decide's last stage runs too.
     """
     roots = _candidate_roots(g, root)
-    if not roots:
-        return None
+    return _exact_search(g, roots, deadline) if roots else None
+
+
+def _exact_search(
+    g: ColouredDigraph, roots: list[int], deadline: float | None
+) -> ArborescenceCertificate | None:
+    """Colour enumeration, then backtracking, from the candidate roots `roots`.
+
+    Both algorithms try the roots in the order given, the increasing
+    (in-degree, v) order of _candidate_roots. When few colours collide,
+    colour enumeration fixes one surviving edge per colliding colour class
+    and looks for a spanning out-tree among the survivors from each root.
+    Otherwise backtracking (_search_root) grows a tree from each root,
+    which spans, branching on every frontier-crossing edge with an unused
+    colour and memoising failed (vertex set, colour set) states; its
+    docstring gives the state the search keeps, its prunes and their cost.
+    BudgetExceededError is raised once `deadline` passes.
+    """
     outcome = _decide_by_colour_enumeration(g, roots, deadline)
     if outcome != "inapplicable":
         return outcome
@@ -649,16 +657,19 @@ def decide(
     root: int | None = None,
     budget_s: float | None = 10.0,
 ) -> DecideResult:
-    """Unified entry point for the three solvers; mode is one of MODES.
+    """Unified entry point for the solvers; mode is one of MODES.
 
-    oracle / exact are two-sided; heuristic is one-sided (not_found
-    decided_by "heuristic" means "no certificate constructed"). heuristic
-    and auto first list the candidate roots (see _candidate_roots). An
-    empty list is a two-sided no, returned at once as not_found decided_by
-    "exact" with no solver run. Otherwise they run the heuristic from the
-    first _HEURISTIC_TRIES candidate roots, in backtracking's order (colour
-    enumeration tries them in ascending order). auto uses it as a fast
-    accept path and falls back to decide_exact, so it stays two-sided.
+    oracle answers by brute_force_oracle. Every other mode runs the same
+    stages in order and stops at a fixed point in them:
+
+    1. _candidate_roots, listed once. An empty list is a two-sided no,
+       returned as not_found decided_by "exact" with no solver run.
+    2. heuristic_construct from the first _HEURISTIC_TRIES of those roots,
+       in their order. A certificate is the answer, decided_by
+       "heuristic". heuristic stops here, one-sided: not_found decided_by
+       "heuristic" means "no certificate constructed".
+    3. _exact_search on the same roots, under the budget. exact and auto
+       run it, so both are two-sided, and an exhausted budget is unknown.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
@@ -669,20 +680,19 @@ def decide(
             "found" if cert else "not_found", cert, decided_by="oracle"
         )
 
-    if mode in ("heuristic", "auto"):
-        roots = _candidate_roots(g, root)
-        if not roots:
-            return DecideResult("not_found", decided_by="exact")
-        for r in roots[:_HEURISTIC_TRIES]:
-            outcome = heuristic_construct(g, r)
-            if outcome.success:
-                return DecideResult("found", outcome.certificate, decided_by="heuristic")
-        if mode == "heuristic":
-            return DecideResult("not_found", decided_by="heuristic")
+    roots = _candidate_roots(g, root)
+    if not roots:
+        return DecideResult("not_found", decided_by="exact")
+    for r in roots[:_HEURISTIC_TRIES]:
+        outcome = heuristic_construct(g, r)
+        if outcome.success:
+            return DecideResult("found", outcome.certificate, decided_by="heuristic")
+    if mode == "heuristic":
+        return DecideResult("not_found", decided_by="heuristic")
 
     deadline = None if budget_s is None else time.monotonic() + budget_s
     try:
-        cert = decide_exact(g, root=root, deadline=deadline)
+        cert = _exact_search(g, roots, deadline)
     except BudgetExceededError:
         return DecideResult("unknown", decided_by="exact")
     return DecideResult("found" if cert else "not_found", cert, decided_by="exact")

@@ -326,11 +326,12 @@ def test_root_past_n_is_out_of_range(tmp_path):
 
 # (n, trace seed, heads): the trace's shortest prefix with n - 1 colours and
 # `heads` distinct heads, so n - 1 heads is the prefix at M = max(m_C, m_Z)
-# and n heads leaves every vertex a candidate root. Colour-class
-# enumeration is inapplicable on the nine cases with n >= 40, so the
-# backtracking search and its root order decide them; it applies to the
-# eight with n <= 30 (found at M, none at M, found with every vertex
-# entered), which pin its root order and its BFS out-trees.
+# and n heads leaves every vertex a candidate root. Exact mode runs the
+# constructor first, so the thirteen found cases pin its certificates. The
+# four with none reach the exact search: colour-class enumeration is
+# inapplicable on the nine cases with n >= 40, so backtracking decides
+# (60, 36) and (100, 1), and it applies to the eight with n <= 30, so
+# enumeration decides (16, 2) and (25, 2).
 EXACT_CASES = [(40, 2, 39), (60, 1, 59), (60, 36, 59), (80, 2, 79), (100, 1, 99),
                (100, 2, 99), (60, 4, 60), (80, 1, 80), (100, 3, 100),
                (20, 1, 19), (25, 4, 24), (16, 2, 15), (25, 2, 24),

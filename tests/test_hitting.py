@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from arborsim import hitting, rainbow
 from arborsim.digraph import ColouredDigraph, has_spanning_arborescence
 from arborsim.hitting import HittingTimes, event_holds, gallop, hitting_times
 from arborsim.process import ProcessConfig, ProcessTrace, generate_trace
@@ -171,6 +172,31 @@ def test_constructor_first_equals_gallop_first():
                 kinds.add("heuristic certifies" if ht.heuristic_at_z else "heuristic fails")
     assert kinds == {"C never", "C after Z", "z spans nothing at m_Z",
                      "heuristic certifies", "heuristic fails"}
+
+
+def test_constructor_runs_once_at_m_z_where_it_fails(monkeypatch):
+    # m_C <= m_Z = m_A, and the constructor fails at m_Z from the one
+    # in-degree-zero vertex, so the R gallop probes m_Z. That probe runs
+    # the exact search alone, in auto and in exact mode. R fails at m_Z on
+    # the first trace and holds there on the second.
+    for config, m_z, m_r in ((ProcessConfig(5, 5, 8), 6, 13),
+                             (ProcessConfig(6, 5, 3656), 11, 11)):
+        for mode in ("auto", "exact"):
+            expected = gallop_first_hitting_times(ProcessTrace(config), mode)
+            sizes = []
+
+            def counted(g, root):
+                sizes.append(len(g))
+                return heuristic_construct(g, root)
+
+            with monkeypatch.context() as m:
+                for module in (rainbow, hitting):
+                    m.setattr(module, "heuristic_construct", counted)
+                ht = hitting_times(ProcessTrace(config), r_mode=mode, budget_s=None)
+            assert ht == expected, (config, mode)
+            assert ht.m_c <= ht.m_z == ht.m_a == m_z and not ht.heuristic_at_z
+            assert ht.m_r == m_r
+            assert sizes.count(m_z) == 1, (config, mode, sizes)
 
 
 def test_gallop_finds_least_true_with_few_nearby_probes():

@@ -14,6 +14,7 @@ from arborsim.digraph import ColouredDigraph, ColouredEdge, spanning_roots
 from arborsim.rainbow import (
     ArborescenceCertificate,
     BudgetExceededError,
+    HeuristicOutcome,
     OracleTooLargeError,
     brute_force_oracle,
     decide,
@@ -123,7 +124,7 @@ def test_colour_enumeration_cap_is_inclusive():
 def test_single_vertex_graph():
     g = ColouredDigraph(1, 2)
     empty = ArborescenceCertificate(0, {})
-    expected_by = {"oracle": "oracle", "exact": "exact",
+    expected_by = {"oracle": "oracle", "exact": "heuristic",
                    "heuristic": "heuristic", "auto": "heuristic"}
     for mode, decided_by in expected_by.items():
         for root in (None, 0):
@@ -286,9 +287,8 @@ def test_exact_search_deeper_than_the_default_recursion_limit():
     g = prefix_at_m(n, 5)
     limit = sys.getrecursionlimit()
     assert limit < n
-    result = decide(g, mode="exact")
-    assert result.outcome == "found" and result.decided_by == "exact"
-    assert verify_certificate(g, result.certificate)
+    cert = decide_exact(g)
+    assert cert is not None and verify_certificate(g, cert)
     assert sys.getrecursionlimit() == limit
 
 
@@ -305,22 +305,30 @@ def test_exact_decisions_free_their_state_on_return(monkeypatch):
         return search(g, root, deadline)
 
     monkeypatch.setattr(rainbow, "_search_root", counted_search)
-    # Inputs 0 and 2 of the exact-n200 benchmark at seeds 1 and 4, and op 7
-    # of theorem-n200 at seed 1 in exact mode: m_A > m_Z there, so no
-    # constructor runs at m_Z, and its colours collide too much for colour
-    # enumeration.
+    # Inputs 0 and 2 of the exact-n200 benchmark at seeds 1 and 4. The
+    # constructor certifies both, so the search is reached through
+    # decide_exact, and through decide's last stage with the constructor
+    # made to fail. Then an n = 50 theorem trial in exact mode whose
+    # constructor fails at m_Z = m_A, where R does not yet hold, so the
+    # search runs there and at later probes.
     found = prefix_at_m(200, derive_trial_seed(1 * 10**6, 0))
     slow = prefix_at_m(200, derive_trial_seed(4 * 10**6 + 2, 0))
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        assert decide(found, mode="exact").outcome == "found"
+        assert decide_exact(found, deadline=time.monotonic() + 10.0) is not None
         assert searches and gc.collect() == 0
-        assert decide(slow, mode="exact", budget_s=0.05).outcome == "unknown"
+        with pytest.raises(BudgetExceededError):
+            decide_exact(slow, deadline=time.monotonic() + 0.05)
+        assert gc.collect() == 0
+        with monkeypatch.context() as m:
+            m.setattr(rainbow, "heuristic_construct",
+                      lambda g, root: HeuristicOutcome(None, "step schedule exhausted"))
+            assert decide(slow, mode="exact", budget_s=0.05) == ("unknown", None, "exact")
         assert gc.collect() == 0
         searches.clear()
-        report = run_theorem_experiment(n=200, trials=1, seed=1 * 10**6 + 7,
+        report = run_theorem_experiment(n=50, trials=1, seed=1 * 10**6 + 3,
                                         r_mode="exact", threads=1)
         (row,) = report.rows
         assert searches and dict(zip(report.columns, row))["r_decision_mode"] == "exact"
@@ -489,21 +497,42 @@ def test_hall_violations_skip_local_search(monkeypatch):
         heuristic_construct(g, 0)
 
 
-def test_exact_mode_never_runs_the_constructor(monkeypatch):
-    def no_constructor(*args, **kwargs):
-        raise AssertionError("exact mode ran a constructor")
+def test_exact_and_auto_list_the_roots_once_and_search_after_the_constructor(monkeypatch):
+    # One stage sequence: the candidate roots are listed once, the
+    # constructor runs from the leading ones, and the exact search runs
+    # only after every constructor attempt has failed.
+    calls = []
 
-    for name in ("heuristic_construct", "_local_search"):
-        monkeypatch.setattr(rainbow, name, no_constructor)
+    def counted(name, solver, succeeded):
+        def call(*args):
+            answer = solver(*args)
+            calls.append((name, succeeded(answer)))
+            return answer
+        return call
+
+    for name, succeeded in (("_candidate_roots", bool),
+                            ("heuristic_construct", lambda outcome: outcome.success),
+                            ("_exact_search", lambda cert: cert is not None)):
+        monkeypatch.setattr(rainbow, name, counted(name, getattr(rainbow, name), succeeded))
     rng = SplitMix64(1729)
-    outcomes = set()
+    seen = set()
+    searches = 0
     for _ in range(100):
         n = 2 + rng.below(6)
         g = random_graph(rng, n, n - 1 + rng.below(4), min(n * (n - 1), n - 1 + rng.below(2 * n)))
-        result = decide(g, mode="exact", budget_s=None)
-        assert result.outcome == ("found" if brute_force_oracle(g) else "not_found")
-        outcomes.add(result.outcome)
-    assert outcomes == {"found", "not_found"}
+        expected = "found" if brute_force_oracle(g) else "not_found"
+        for mode in ("exact", "auto"):
+            calls.clear()
+            result = decide(g, mode=mode, budget_s=None)
+            assert result.outcome == expected
+            names = [name for name, _ in calls]
+            assert names.count("_candidate_roots") == 1 and names[0] == "_candidate_roots"
+            if "_exact_search" in names:
+                searches += 1
+                assert names[-1] == "_exact_search" and names.count("_exact_search") == 1
+                assert calls[0][1] and names[1:-1] and not any(ok for _, ok in calls[1:-1])
+            seen.add((result.outcome, result.decided_by))
+    assert seen == {("found", "heuristic"), ("not_found", "exact")} and searches > 0
 
 
 def test_certificate_monotone_under_additions():
@@ -585,13 +614,13 @@ def test_decide_two_zero_in_degree_vertices():
 
 
 def test_no_candidate_root_is_a_two_sided_no_without_a_solver(monkeypatch):
-    # heuristic and auto answer from the empty candidate-root list alone,
-    # with no heuristic attempt and no exact search
+    # heuristic, exact and auto answer from the empty candidate-root list
+    # alone, with no heuristic attempt and no exact search
     def no_solver(*args, **kwargs):
         raise AssertionError("a solver ran without a candidate root")
 
     monkeypatch.setattr(rainbow, "heuristic_construct", no_solver)
-    monkeypatch.setattr(rainbow, "decide_exact", no_solver)
+    monkeypatch.setattr(rainbow, "_exact_search", no_solver)
     graphs = [
         graph_from_edges(4, 4, [(0, 2, 0), (1, 3, 1)]),  # two in-degree-zero vertices
         graph_from_edges(4, 2, [(0, 1, 0), (0, 2, 0), (0, 3, 1)]),  # two colours
@@ -603,7 +632,7 @@ def test_no_candidate_root_is_a_two_sided_no_without_a_solver(monkeypatch):
     for g in graphs:
         for root in (None, *range(g.n)):
             assert _candidate_roots(g, root) == []
-            for mode in ("heuristic", "auto"):
+            for mode in ("heuristic", "exact", "auto"):
                 result = decide(g, mode=mode, root=root)
                 assert (result.outcome, result.decided_by) == ("not_found", "exact")
 
@@ -632,7 +661,7 @@ g.add_edge(ColouredEdge(1, 2, 1))
 rainbow.verify_certificate = lambda g, cert: False  # every check fails
 solvers = [
     lambda: rainbow.decide(g, "heuristic"),  # local search
-    lambda: rainbow.decide(g, "exact"),  # colour enumeration
+    lambda: rainbow.decide_exact(g),  # colour enumeration
     lambda: rainbow._search_root(g, 0, None),
 ]
 for solve in solvers:
